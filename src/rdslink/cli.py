@@ -20,7 +20,8 @@ from . import constructions as cons
 from .ff import field_make, is_prime
 from .groups import FiniteGroup, Subgroup
 from .linked import associated_group, munu_branches, verify_linked
-from .rds import cayley_adjacency, dev, verify_pds, verify_rds
+from .rds import (cayley_adjacency, certify_rds, dev, verify_pds,
+                  verify_rds)
 from .schur import SchurPartition, verify_sring
 
 
@@ -168,6 +169,13 @@ def _load_sets(path):
     return [[int(g) for g in s] for s in data]
 
 
+def _forbidden(G, args, X) -> Subgroup:
+    """The --forbidden subgroup, or else the one that X.X^(-1) fixes."""
+    if args.forbidden:
+        return Subgroup(G, tuple(_load_sets(args.forbidden)[0]))
+    return certify_rds(G, X).N
+
+
 def cmd_verify(args):
     G = _load_group(args.group)
     sets = _load_sets(args.sets)
@@ -176,8 +184,7 @@ def cmd_verify(args):
                          "forbidden": args.forbidden}}
     try:
         if args.kind == "rds":
-            N = Subgroup(G, tuple(_load_sets(args.forbidden)[0]))
-            cert = verify_rds(G, sets[0], N)
+            cert = verify_rds(G, sets[0], _forbidden(G, args, sets[0]))
             report["certificates"] = [cert.to_json()]
         elif args.kind == "pds":
             cert = verify_pds(G, sets[0])
@@ -191,8 +198,7 @@ def cmd_verify(args):
             report["certificates"] = [{"partition": P.to_json(),
                                        "tensor": sc.tensor.tolist()}]
         elif args.kind == "linked":
-            N = Subgroup(G, tuple(_load_sets(args.forbidden)[0]))
-            cert = verify_linked(G, N, sets)
+            cert = verify_linked(G, _forbidden(G, args, sets[0]), sets)
             report["certificates"] = [cert.to_json()]
         report["ok"] = True
     except Exception as exc:

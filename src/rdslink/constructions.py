@@ -493,26 +493,16 @@ def dps_system(F: Field, t: int, s: int | None = None,
     glued along S^# as Y_f = {e} + union of h^f X_h.
     """
     n = F.q
-    if n % t or t < 2:
+    if t < 2 or n % t:
         raise ConstructionError(f"t = {t} must divide n = {n} and be >= 2")
-    # t must be a prime power p^j
-    p = min(d for d in range(2, t + 1) if t % d == 0)
-    j = 0
-    tt = t
-    while tt % p == 0:
-        tt //= p
-        j += 1
-    if tt != 1 or not is_prime(p):
-        raise ConstructionError(f"t = {t} is not a prime power")
     if s is None:
         s = t
-    i = 0
-    ss = s
-    while ss % p == 0:
-        ss //= p
-        i += 1
-    if ss != 1 or i < 1 or i > j:
+    p = F.p
+    if s < 2 or t % s:
         raise ConstructionError(f"s = {s} must be a power of {p} dividing t")
+    # t | n = p^r and s | t, so both are powers of p
+    j = next(e for e in range(F.r + 1) if p ** e == t)
+    i = next(e for e in range(j + 1) if p ** e == s)
     if s - 1 < 2:
         raise ConstructionError("a single set is not a linked system")
 

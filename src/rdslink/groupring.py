@@ -106,17 +106,16 @@ class GroupRingElement:
         return f"GroupRingElement({self.group.name}, {self.vec.tolist()})"
 
 
-def indicator(G: FiniteGroup, S) -> GroupRingElement:
-    return GroupRingElement.indicator(G, S)
+def class_values(vec, class_of, count):
+    """Read a coefficient vector on a partition of G into classes 0..count-1.
 
-
-def gr_mult(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
-    return a * b
-
-
-def gr_involution(a: GroupRingElement) -> GroupRingElement:
-    return a.involution()
-
-
-def gr_scalar(a: GroupRingElement, b: GroupRingElement) -> int:
-    return a.scalar(b)
+    Returns each class's value, taken at its least element (None for an
+    empty class), and the least index whose coefficient differs from the
+    value of its class (None when vec is constant on every class).
+    """
+    v = len(vec)
+    first = np.full(count, v)
+    np.minimum.at(first, class_of, np.arange(v))
+    bad = np.flatnonzero(vec != vec[first[class_of]])
+    values = [int(vec[g]) if g < v else None for g in first.tolist()]
+    return values, (int(bad[0]) if bad.size else None)

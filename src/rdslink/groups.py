@@ -11,6 +11,7 @@ automorphisms, orbits, and transversal tests.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
@@ -118,10 +119,7 @@ class FiniteGroup:
         return self._orders
 
     def exponent(self) -> int:
-        exp = 1
-        for o in self.element_orders():
-            exp = exp * o // _gcd(exp, o)
-        return exp
+        return math.lcm(*self.element_orders())
 
     def is_abelian(self) -> bool:
         return np.array_equal(self.table, self.table.T)
@@ -139,12 +137,6 @@ class FiniteGroup:
 
     def __repr__(self):
         return f"FiniteGroup({self.name}, order={self.order})"
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 @dataclass(frozen=True)
@@ -331,25 +323,6 @@ def quaternion8() -> FiniteGroup:
 # subgroups, cosets, transversals
 
 
-def subgroup_closure(G: FiniteGroup, seeds) -> Subgroup:
-    members = {0}
-    frontier = [0]
-    seeds = list(seeds)
-    t = G.table
-    # closure under multiplication by the seeds on both sides
-    changed = True
-    members.update(seeds)
-    while changed:
-        changed = False
-        for a in list(members):
-            for b in list(members):
-                c = int(t[a, b])
-                if c not in members:
-                    members.add(c)
-                    changed = True
-    return Subgroup(G, tuple(sorted(members)))
-
-
 def center(G: FiniteGroup) -> Subgroup:
     t = G.table
     members = [g for g in range(G.order)
@@ -386,28 +359,6 @@ def is_transversal(G: FiniteGroup, H: Subgroup, X):
     right = len({int(t[h, x]) for x in X for h in H.members}) == G.order
     left = len({int(t[x, h]) for x in X for h in H.members}) == G.order
     return (left, right)
-
-
-def all_subgroups(G: FiniteGroup):
-    """Every subgroup, by closure of incremental generator additions."""
-    if G.order > 2048:
-        raise GroupError("subgroup scan limited to order <= 2048")
-    trivial = Subgroup(G, (0,))
-    found = {trivial.members: trivial}
-    frontier = [trivial]
-    while frontier:
-        new_frontier = []
-        for H in frontier:
-            mem = set(H.members)
-            for g in range(1, G.order):
-                if g in mem:
-                    continue
-                K = subgroup_closure(G, list(H.members) + [g])
-                if K.members not in found:
-                    found[K.members] = K
-                    new_frontier.append(K)
-        frontier = new_frontier
-    return sorted(found.values(), key=lambda H: (len(H), H.members))
 
 
 # ---------------------------------------------------------------------------

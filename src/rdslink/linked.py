@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ff import is_prime
 from .groups import FiniteGroup, Subgroup, Automorphism
 from .groupring import GroupRingElement
 from .rds import RdsError, verify_rds
@@ -110,7 +111,7 @@ def verify_linked(G: FiniteGroup, N: Subgroup, family) -> LinkedCertificate:
         if b == chi[a]:
             continue  # this case is exactly the RDS equation, verified above
         prod = (ind[a] * ind[b]).vec
-        vals = sorted(set(prod.tolist()))
+        vals = np.unique(prod).tolist()
         if len(vals) != 2:
             raise ProductNotTwoValued(
                 f"product of members {a},{b} takes values {vals}")
@@ -118,7 +119,7 @@ def verify_linked(G: FiniteGroup, N: Subgroup, family) -> LinkedCertificate:
         # the mu-level set is the family member; try both values
         target = None
         for cand_mu, cand_nu in ((lo, hi), (hi, lo)):
-            level = tuple(int(g) for g in np.where(prod == cand_mu)[0])
+            level = tuple(np.flatnonzero(prod == cand_mu).tolist())
             if level in lookup:
                 target = (lookup[level], cand_mu, cand_nu)
                 break
@@ -287,8 +288,7 @@ def associated_group(s: int, chi, psi) -> AssociatedGroup:
         invs = (v,)
     elif G.is_abelian():
         invs = _abelian_invariant_factors(G)
-        if len(set(orders[1:])) == 1 and all(
-                o == orders[1] for o in orders[1:]) and _is_prime(orders[1]):
+        if len(set(orders[1:])) == 1 and is_prime(orders[1]):
             kind = "elementary_abelian"
         else:
             kind = "abelian"
@@ -296,17 +296,6 @@ def associated_group(s: int, chi, psi) -> AssociatedGroup:
         kind = "nonabelian"
         invs = ()
     return AssociatedGroup(carrier, G, kind, invs)
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ff import Field
-from .groups import FiniteGroup, Subgroup, all_subgroups, right_cosets
-from .groupring import GroupRingElement
+from .groups import FiniteGroup, GroupError, Subgroup, right_cosets
+from .groupring import GroupRingElement, class_values
 
 
 class RdsError(ValueError):
@@ -130,23 +130,19 @@ def verify_rds(G: FiniteGroup, X, N: Subgroup) -> RdsCertificate:
         raise EquationFails(
             f"coefficient at identity is {int(d[0])}, expected {k}",
             element=0, expected=k, actual=int(d[0]))
-    nset = set(N.members)
-    lam = None
-    for g in range(1, G.order):
-        want_zero = g in nset
-        if want_zero:
-            if d[g] != 0:
-                raise EquationFails(
-                    f"nonzero coefficient {int(d[g])} on forbidden element "
-                    f"{g}", element=g, expected=0, actual=int(d[g]))
-        else:
-            if lam is None:
-                lam = int(d[g])
-            elif d[g] != lam:
-                raise EquationFails(
-                    f"coefficient {int(d[g])} at element {g} differs from "
-                    f"lambda = {lam}", element=g, expected=lam,
-                    actual=int(d[g]))
+    # X X^-1 - k e = lambda (G - N): zero on N, one constant off N
+    d[0] -= k
+    off_n = np.ones(G.order, dtype=np.int64)
+    off_n[list(N.members)] = 0
+    (_, lam), g = class_values(d, off_n, 2)
+    if g is not None:
+        if off_n[g]:
+            raise EquationFails(
+                f"coefficient {int(d[g])} at element {g} differs from "
+                f"lambda = {lam}", element=g, expected=lam, actual=int(d[g]))
+        raise EquationFails(
+            f"nonzero coefficient {int(d[g])} on forbidden element {g}",
+            element=g, expected=0, actual=int(d[g]))
     if not lam or lam <= 0:
         raise LambdaNotPositive(f"lambda = {lam} is not a positive integer")
     n = len(N)
@@ -184,16 +180,31 @@ def is_icommuting(G: FiniteGroup, X, N: Subgroup) -> bool:
     return by_product
 
 
+def certify_rds(G: FiniteGroup, X) -> RdsCertificate:
+    """verify_rds against the one forbidden subgroup X allows.
+
+    lambda > 0, so X.X^(-1) vanishes exactly on N^#: N is e plus the zero
+    set of X.X^(-1).  Raises RdsError when that set is not a subgroup and
+    verify_rds's own error when X fails the equation relative to it.
+    """
+    x = GroupRingElement.indicator(G, X)
+    d = (x * x.involution()).vec
+    try:
+        N = Subgroup(G, (0,) + tuple(np.flatnonzero(d == 0).tolist()))
+    except GroupError as exc:
+        raise RdsError(
+            f"e plus the zero set of X.X^(-1) is not a subgroup: {exc}"
+        ) from exc
+    return verify_rds(G, X, N)
+
+
 def find_forbidden(G: FiniteGroup, X):
-    """All subgroups N for which verify_rds(G, X, N) succeeds."""
-    out = []
-    for N in all_subgroups(G):
-        try:
-            verify_rds(G, X, N)
-        except RdsError:
-            continue
-        out.append(N)
-    return out
+    """[N] for the subgroup N with verify_rds(G, X, N) passing, or [];
+    no second N can pass (see certify_rds)."""
+    try:
+        return [certify_rds(G, X).N]
+    except RdsError:
+        return []
 
 
 def verify_pds(G: FiniteGroup, S) -> PdsCertificate:
@@ -202,24 +213,16 @@ def verify_pds(G: FiniteGroup, S) -> PdsCertificate:
     k = len(S)
     s = GroupRingElement.indicator(G, S)
     d = (s * s.involution()).vec
-    sset = set(S)
-    lam = mu = None
-    for g in range(1, G.order):
-        if g in sset:
-            if lam is None:
-                lam = int(d[g])
-            elif d[g] != lam:
-                raise EquationFails(
-                    f"coefficient not constant on S at {g}", element=g,
-                    expected=lam, actual=int(d[g]))
-        else:
-            if mu is None:
-                mu = int(d[g])
-            elif d[g] != mu:
-                raise EquationFails(
-                    f"coefficient not constant off S at {g}", element=g,
-                    expected=mu, actual=int(d[g]))
-    expected_e = k + (lam or 0) * (1 if 0 in sset else 0)
+    # classes {e}, S^# and the rest: lambda on S^#, mu on the rest
+    class_of = 2 - s.vec
+    class_of[0] = 0
+    (_, lam, mu), g = class_values(d, class_of, 3)
+    if g is not None:
+        on_s = class_of[g] == 1
+        raise EquationFails(
+            f"coefficient not constant {'on' if on_s else 'off'} S at {g}",
+            element=g, expected=lam if on_s else mu, actual=int(d[g]))
+    expected_e = k + (lam or 0) * int(s.vec[0])
     if d[0] != expected_e:
         raise EquationFails(
             f"identity coefficient {int(d[0])}, expected {expected_e}",
@@ -242,38 +245,26 @@ def rds_to_pds(G: FiniteGroup, X, N: Subgroup):
 # product of RDSs
 
 
-def _verify_in_subgroup(G, emb, X, N: Subgroup):
-    """Certify X as an RDS of the embedded subgroup emb(G_i) <= G."""
-    img = tuple(int(emb[g]) for g in range(len(emb)))
-    sub = set(img)
-    Ximg = tuple(int(emb[g]) for g in X)
-    x = GroupRingElement.indicator(G, Ximg)
-    d = (x * x.involution()).vec
-    k = len(Ximg)
-    lam = None
-    nset = set(N.members)
-    if not nset <= sub:
-        raise RdsError("forbidden subgroup not inside the embedded factor")
-    for g in sorted(sub):
-        if g == 0:
-            if d[g] != k:
-                raise EquationFails("identity coefficient wrong in factor")
-        elif g in nset:
-            if d[g] != 0:
-                raise EquationFails(f"forbidden element {g} hit in factor")
-        else:
-            if lam is None:
-                lam = int(d[g])
-            elif d[g] != lam:
-                raise EquationFails(f"lambda not constant in factor at {g}")
-    if np.any(d[sorted(set(range(G.order)) - sub)]):
+def _factor_rds(G: FiniteGroup, emb, X, N: Subgroup):
+    """Certify X as a semiregular RDS of the embedded factor emb(H) <= G
+    relative to N <= emb(H); returns (emb(X), lambda).
+
+    H's table is G's restricted to the image of emb and relabelled
+    through the inverse of emb."""
+    emb = np.asarray(emb, dtype=np.int64)
+    if emb[0] != 0 or len(set(emb.tolist())) != len(emb):
+        raise RdsError("embedding must be injective and map 0 to 0")
+    pre = np.full(G.order, -1, dtype=np.int64)
+    pre[emb] = np.arange(len(emb))
+    table = pre[G.table[np.ix_(emb, emb)]]
+    if (table < 0).any():
         raise RdsError("factor product escapes the embedded subgroup")
-    if not lam or lam <= 0:
-        raise LambdaNotPositive(f"lambda = {lam} in embedded factor")
-    m = len(sub) // len(nset)
-    if k != m:
+    # a closed subset of a group holding e is a subgroup: no audit needed
+    H = FiniteGroup(table, name=f"{G.name}[factor]", audit=False)
+    cert = verify_rds(H, X, Subgroup(H, tuple(pre[list(N.members)].tolist())))
+    if not cert.semiregular:
         raise RdsError("factor RDS is not semiregular")
-    return Ximg, lam
+    return tuple(emb[list(cert.X)].tolist()), cert.lam
 
 
 def rds_product(G: FiniteGroup, emb1, emb2, X1, X2):
@@ -293,8 +284,8 @@ def rds_product(G: FiniteGroup, emb1, emb2, X1, X2):
     prod_all = {int(t[a, b]) for a in img1 for b in img2}
     if len(prod_all) != G.order:
         raise RdsError("G is not the product of the embedded factors")
-    X1img, lam1 = _verify_in_subgroup(G, emb1, X1, N)
-    X2img, lam2 = _verify_in_subgroup(G, emb2, X2, N)
+    X1img, lam1 = _factor_rds(G, emb1, X1, N)
+    X2img, lam2 = _factor_rds(G, emb2, X2, N)
     if not is_icommuting(G, X1img, N):
         raise RdsError("X1 must be i-commuting")
     prods = [int(t[a, b]) for a in X1img for b in X2img]

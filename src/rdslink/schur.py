@@ -11,7 +11,7 @@ import numpy as np
 
 from .ff import Field
 from .groups import FiniteGroup, Automorphism, orbits
-from .groupring import GroupRingElement
+from .groupring import GroupRingElement, class_values
 
 
 class SRingError(ValueError):
@@ -83,16 +83,16 @@ def verify_sring(P: SchurPartition) -> StructureConstants:
     for i in range(r):
         for j in range(r):
             prod = (inds[i] * inds[j]).vec
-            for k, c in enumerate(P.classes):
-                vals = prod[list(c)]
-                if not (vals == vals[0]).all():
-                    z1 = c[int(np.argmin(vals != vals[0]))]
-                    bad = c[int(np.argmax(vals != vals[0]))]
-                    raise SRingError(
-                        f"product of classes {i},{j} is not constant on "
-                        f"class {k}: counts {int(vals.min())} vs "
-                        f"{int(vals.max())} (elements {c[0]},{bad})")
-                tensor[i, j, k] = int(vals[0])
+            values, bad = class_values(prod, P.class_of, r)
+            if bad is not None:
+                k = int(P.class_of[bad])
+                c = P.classes[k]
+                counts = prod[list(c)]
+                raise SRingError(
+                    f"product of classes {i},{j} is not constant on "
+                    f"class {k}: counts {int(counts.min())} vs "
+                    f"{int(counts.max())} (elements {c[0]},{bad})")
+            tensor[i, j] = values
     return StructureConstants(P, tensor)
 
 

@@ -1,6 +1,9 @@
 import json
 
+import pytest
+
 from rdslink.cli import main
+from rdslink.rds import RdsError
 
 
 def run(args):
@@ -154,3 +157,41 @@ def test_resolve_branch_reports(tmp_path):
     r2 = load(rep2)
     assert r2["ok"]
     assert r2["realized"] in r2["branches"]
+
+
+@pytest.fixture(scope="module")
+def bundles(tmp_path_factory):
+    d = tmp_path_factory.mktemp("bundles")
+    assert run(["construct", "thm12", "--p", "3", "--r", "2", "--out",
+                str(d / "rds.json")]) == 0
+    assert run(["construct", "q8", "--out", str(d / "linked.json")]) == 0
+    return d
+
+
+@pytest.mark.parametrize("kind", ["rds", "linked"])
+def test_verify_derives_forbidden(bundles, tmp_path, kind):
+    bundle = bundles / f"{kind}.json"
+    report = tmp_path / "rep.json"
+    assert run(["verify", kind, "--group", str(bundle), "--sets",
+                str(bundle), "--out", str(report)]) == 0
+    r = load(report)
+    assert r["ok"]
+    assert r["certificates"][0]["forbidden"] == load(bundle)["forbidden"]
+
+
+@pytest.mark.parametrize("kind", ["rds", "linked"])
+def test_verify_perturbed_without_forbidden(bundles, tmp_path, kind):
+    b = load(bundles / f"{kind}.json")
+    fam = [s["indices"] for s in b["sets"]] if "sets" in b else [
+        b["set"]["indices"]]
+    outside = min(set(range(b["group"]["order"])) - set(fam[0]))
+    fam[0] = sorted(set(fam[0]) - {fam[0][-1]} | {outside})
+    sets = tmp_path / "sets.json"
+    sets.write_text(json.dumps({"sets": fam}))
+    report = tmp_path / "rep.json"
+    assert run(["verify", kind, "--group", str(bundles / f"{kind}.json"),
+                "--sets", str(sets), "--out", str(report)]) == 1
+    r = load(report)
+    assert not r["ok"]
+    typed = {c.__name__ for c in (RdsError, *RdsError.__subclasses__())}
+    assert r["error"].split(":")[0] in typed

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from rdslink.ff import field_make
-from rdslink.groups import (Subgroup, center, cyclic, heisenberg,
-                            right_cosets)
+from rdslink.groups import (Subgroup, center, cyclic, direct_product,
+                            heisenberg, right_cosets)
 from rdslink.rds import (EquationFails, IntersectionArray, LambdaNotPositive,
                          RdsError, WrongDiameter, cayley_adjacency,
-                         certify_drg3, dev, find_forbidden,
+                         certify_drg3, certify_rds, dev, find_forbidden,
                          is_icommuting, rds_product, rds_to_pds,
                          symplectic_standard, thas_somma, verify_pds,
                          verify_rds)
@@ -42,6 +42,58 @@ def test_find_forbidden():
     G = cyclic(4)
     found = find_forbidden(G, (0, 1))
     assert any(N.members == (0, 2) for N in found)
+
+
+def test_find_forbidden_above_old_scan_cap():
+    # X = {(x, x^2)} in C47 x C47 (order 2209): X.X^(-1) hits (d, d(x+y))
+    # once for each d != 0 and misses {0} x C47^#
+    G = direct_product(cyclic(47), cyclic(47))
+    X = [x * 47 + x * x % 47 for x in range(47)]
+    found = find_forbidden(G, X)
+    assert [N.members for N in found] == [tuple(range(47))]
+    assert verify_rds(G, X, found[0]).parameters == (47, 47, 47, 1)
+
+
+def test_certify_rds_zero_set_not_subgroup():
+    # in C8, {0,1}.{0,1}^(-1) vanishes on {2,...,6}, which with 0 is no
+    # subgroup
+    with pytest.raises(RdsError, match="not a subgroup"):
+        certify_rds(cyclic(8), (0, 1))
+    assert find_forbidden(cyclic(8), (0, 1)) == []
+
+
+def _single_swaps(G, X):
+    """(out, in, swapped set) for every member out and non-member in."""
+    X = set(X)
+    return [(a, b, tuple(sorted(X - {a} | {b})))
+            for a in sorted(X) for b in range(G.order) if b not in X]
+
+
+def test_every_single_swap_rejected(heis3, es3, dps3):
+    flagships = [(heis3.group, heis3.sets[0], heis3.center),
+                 (es3.group, es3.Y_certs[0].X, es3.Z),
+                 (dps3.ambient, dps3.families[0], dps3.certificate.N)]
+    for G, X, N in flagships:
+        swaps = _single_swaps(G, X)
+        assert len(swaps) == 162
+        for _, _, Y in swaps:
+            with pytest.raises(EquationFails):
+                verify_rds(G, Y, N)
+
+
+def test_q8_swaps_within_a_coset_verify(q8cert):
+    # X_1 is a transversal of N = {e, a^2}: trading x for x a^2 keeps it one
+    G, X, N = q8cert.group, q8cert.sets[0], q8cert.N
+    a2 = N.members[1]
+    kept = 0
+    for x, y, Y in _single_swaps(G, X):
+        if y == G.mul(x, a2):
+            assert verify_rds(G, Y, N).parameters == (4, 2, 4, 2)
+            kept += 1
+        else:
+            with pytest.raises(EquationFails):
+                verify_rds(G, Y, N)
+    assert kept == 4
 
 
 def test_icommuting_dual_criteria_abelian():
