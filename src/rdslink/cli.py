@@ -18,7 +18,7 @@ import numpy as np
 
 from . import constructions as cons
 from .ff import field_make, is_prime
-from .groups import FiniteGroup, Subgroup
+from .groups import FiniteGroup, GroupError, Subgroup
 from .linked import associated_group, munu_branches, verify_linked
 from .rds import (cayley_adjacency, certify_rds, dev, verify_pds,
                   verify_rds)
@@ -144,12 +144,25 @@ def _load_json(path):
 
 
 def _load_group(path) -> FiniteGroup:
+    """The group of a bundle or group file: order v and a flat table of
+    v^2 entries."""
     spec = _load_json(path)
     if isinstance(spec, dict) and "group" in spec:
         spec = spec["group"]
-    v = spec["order"]
-    table = np.asarray(spec["table"], dtype=np.int64).reshape(v, v)
-    return FiniteGroup(table, labels=spec.get("labels"),
+    for key in ("order", "table"):
+        if not isinstance(spec, dict) or key not in spec:
+            raise GroupError(f"{path}: the group has no {key!r}")
+    v, flat = spec["order"], spec["table"]
+    if type(v) is not int or v < 1:
+        raise GroupError(f"{path}: order {v!r} is not a positive integer")
+    n = len(flat) if isinstance(flat, list) else 0
+    if n != v * v:
+        raise GroupError(f"{path}: order {v} needs {v * v} table entries, "
+                         f"found {n}; position {min(n, v * v)} is wrong")
+    table = np.asarray(flat)
+    if table.dtype.kind not in "iu":  # keep each entry's own type
+        table = np.asarray(flat, dtype=object)
+    return FiniteGroup(table.reshape(v, v), labels=spec.get("labels"),
                        name=spec.get("name", "group"))
 
 
@@ -177,12 +190,12 @@ def _forbidden(G, args, X) -> Subgroup:
 
 
 def cmd_verify(args):
-    G = _load_group(args.group)
-    sets = _load_sets(args.sets)
     report = {"command": "verify", "kind": args.kind,
               "inputs": {"group": args.group, "sets": args.sets,
                          "forbidden": args.forbidden}}
     try:
+        G = _load_group(args.group)
+        sets = _load_sets(args.sets)
         if args.kind == "rds":
             cert = verify_rds(G, sets[0], _forbidden(G, args, sets[0]))
             report["certificates"] = [cert.to_json()]

@@ -51,46 +51,39 @@ class HeisenbergSystem:
 
 
 def _matrix_group_generator(F: Field, eps: int):
-    """A generator of the cyclic order-(q^2-1) group of matrices
-    ((a, b), (eps*b, a)), (a, b) != (0, 0)."""
-
-    def mmul(u, w):
-        (a1, b1), (a2, b2) = u, w
-        return (F.add(F.mul(a1, a2), F.mul(eps, F.mul(b1, b2))),
-                F.add(F.mul(a1, b2), F.mul(b1, a2)))
-
+    """The first (a, b) in product order whose matrix ((a, b), (eps*b, a))
+    generates the cyclic group of order q^2-1 of the nonzero ones."""
     target = F.q * F.q - 1
-    for a, b in itertools.product(F.elements(), repeat=2):
-        if (a, b) == (0, 0):
-            continue
-        order, cur = 1, (a, b)
-        while cur != (1, 0):
-            cur = mmul(cur, (a, b))
-            order += 1
-            if order > target:
-                raise ConstructionError("matrix group is not cyclic")
-        if order == target:
-            return (a, b), mmul
-    raise ConstructionError("no generator found; matrix group not cyclic")
+    a, b = np.divmod(np.arange(1, target + 1), F.q)
+    x, y = a, b  # M^k for every M at once
+    order = np.zeros(target, dtype=np.int64)
+    for k in range(1, target + 1):
+        order[(order == 0) & (x == 1) & (y == 0)] = k
+        x, y = (F.add(F.mul(x, a), F.mul(eps, F.mul(y, b))),
+                F.add(F.mul(x, b), F.mul(y, a)))
+    gens = np.flatnonzero(order == target)
+    if not gens.size:
+        raise ConstructionError("matrix group is not cyclic")
+    return int(a[gens[0]]), int(b[gens[0]])
 
 
 def _heisenberg_automorphism(G: FiniteGroup, F: Field, eps: int,
                              M) -> Automorphism:
-    """phi(M) for M = ((a, b), (eps*b, a)) on triples (x, y, z)."""
+    """phi(M) for M = ((a, b), (eps*b, a)) on triples (x, y, z), all
+    elements at once; heisenberg(F, 1) lists them in row-major order."""
     a, b = M
+    q = F.q
     half = F.inv(F.add(1, 1))
     det = F.sub(F.mul(a, a), F.mul(eps, F.mul(b, b)))
-    perm = np.empty(G.order, dtype=np.int64)
-    for i, ((x,), (y,), z) in enumerate(G.elements):
-        x2 = F.add(F.mul(a, x), F.mul(eps, F.mul(b, y)))
-        y2 = F.add(F.mul(b, x), F.mul(a, y))
-        quad = F.mul(F.mul(a, b),
-                     F.add(F.mul(F.mul(x, x), half),
-                           F.mul(eps, F.mul(F.mul(y, y), half))))
-        z2 = F.add(F.add(quad, F.mul(eps, F.mul(F.mul(b, b), F.mul(x, y)))),
-                   F.mul(det, z))
-        perm[i] = G.index[((x2,), (y2,), z2)]
-    return Automorphism(G, perm)
+    x, y, z = np.unravel_index(np.arange(G.order), (q, q, q))
+    x2 = F.add(F.mul(a, x), F.mul(eps, F.mul(b, y)))
+    y2 = F.add(F.mul(b, x), F.mul(a, y))
+    quad = F.mul(F.mul(a, b),
+                 F.add(F.mul(F.mul(x, x), half),
+                       F.mul(eps, F.mul(F.mul(y, y), half))))
+    z2 = F.add(F.add(quad, F.mul(eps, F.mul(F.mul(b, b), F.mul(x, y)))),
+               F.mul(det, z))
+    return Automorphism(G, np.ravel_multi_index((x2, y2, z2), (q, q, q)))
 
 
 def heisenberg_system(F: Field, eps: int | None = None) -> HeisenbergSystem:
@@ -104,20 +97,12 @@ def heisenberg_system(F: Field, eps: int | None = None) -> HeisenbergSystem:
     elif F.is_square(eps):
         raise ConstructionError(f"eps = {eps} is a square")
     G = heisenberg(F, 1)
-    gen, mmul = _matrix_group_generator(F, eps)
-    phi_gen = _heisenberg_automorphism(G, F, eps, gen)
-
-    # every phi(M) is a verified automorphism and the map is injective
-    seen = set()
-    M = gen
-    phis = []
-    for _ in range(q * q - 1):
-        phis.append(_heisenberg_automorphism(G, F, eps, M))
-        key = tuple(phis[-1].perm.tolist())
-        if key in seen:
-            raise ConstructionError("phi is not injective on the matrices")
-        seen.add(key)
-        M = mmul(M, gen)
+    phi_gen = _heisenberg_automorphism(G, F, eps,
+                                       _matrix_group_generator(F, eps))
+    # phi is a homomorphism on the cyclic matrix group, so it is
+    # injective iff the audited phi(gen) has the group's order q^2 - 1
+    if phi_gen.order() != q * q - 1:
+        raise ConstructionError("phi is not injective on the matrices")
 
     P = cyclotomic(G, [phi_gen])
     Z = center(G)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 
 class FieldError(ValueError):
     pass
@@ -38,17 +40,6 @@ def _poly_trim(a):
     while a and a[-1] == 0:
         a.pop()
     return a
-
-
-def _poly_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
 
 
 def _poly_mod(a, m, p):
@@ -89,10 +80,19 @@ def _least_irreducible(p, r):
     raise FieldError(f"no irreducible polynomial of degree {r} over F_{p}")
 
 
-class Field:
-    """GF(p^r) with elements encoded as integers 0..q-1."""
+def _scalar(x):
+    """A Python scalar for 0-d results, the array otherwise."""
+    return x.item() if np.ndim(x) == 0 else x
 
-    _TABLE_LIMIT = 4096  # precompute add/mul tables below this size
+
+class Field:
+    """GF(p^r) with elements encoded as integers 0..q-1.
+
+    Addition runs on the base-p digit array, multiplication on the
+    log/antilog arrays of the least primitive element g.  Every
+    operation works elementwise on ints or integer arrays and returns a
+    Python scalar for scalar input.
+    """
 
     def __init__(self, p: int, r: int = 1, modulus=None):
         if not is_prime(p):
@@ -114,109 +114,109 @@ class Field:
             if not _is_irreducible(modulus, p):
                 raise FieldError("modulus is reducible")
         self.modulus = tuple(modulus)
-        self._mul_table = None
-        if q <= self._TABLE_LIMIT:
-            self._build_tables()
+        self._place = p ** np.arange(r, dtype=np.int64)
+        # _digits[a] = base-p digits of a, low degree first
+        self._digits = np.arange(q, dtype=np.int64)[:, None] // self._place % p
+        self._exp, self._log = self._log_tables()
 
-    def _build_tables(self):
-        q = self.q
-        mul = [[0] * q for _ in range(q)]
-        for a in range(q):
-            ca = self.coeffs(a)
-            for b in range(a, q):
-                v = self.from_coeffs(
-                    _poly_mod(_poly_mul(ca, self.coeffs(b), self.p),
-                              list(self.modulus), self.p))
-                mul[a][b] = v
-                mul[b][a] = v
-        self._mul_table = mul
+    def _log_tables(self):
+        """exp[k] = g^k and log[g^k] = k for the least primitive g.
+
+        log[0] = 2(q-1) and exp is 0 from 2(q-1) on, so
+        exp[log[a] + log[b]] = a*b for every pair, 0 included.
+        """
+        p, q, n = self.p, self.q, self.q - 1
+        D, place = self._digits, self._place
+        # a*t for every a: shift the digits up and reduce t^r = -low
+        low = np.array(self.modulus[:-1], dtype=np.int64)
+        lead = D[:, -1:]
+        shifted = np.concatenate([np.zeros_like(lead), D[:, :-1]], axis=1)
+        times_t = (shifted - lead * low) % p @ place
+        # powers[k][a] = a*t^k, so a*b = sum over the digits b_k of b_k a*t^k
+        powers = [np.arange(q)]
+        for _ in range(1, self.r):
+            powers.append(times_t[powers[-1]])
+        powers = np.array(powers)
+
+        def mul(a, b):
+            return int((D[b] @ D[powers[:, a]]) % p @ place)
+
+        def power(a, e):
+            out = 1
+            while e:
+                if e & 1:
+                    out = mul(out, a)
+                a, e = mul(a, a), e >> 1
+            return out
+
+        primes = [d for d in range(2, n + 1) if n % d == 0 and is_prime(d)]
+        g = next(g for g in range(1, q)
+                 if all(power(g, n // ell) != 1 for ell in primes))
+        times_g = (sum(c * D[row] for c, row in zip(D[g], powers) if c)
+                   % p @ place).tolist()
+        exps = [1]
+        while len(exps) < n:
+            exps.append(times_g[exps[-1]])
+        exp = np.zeros(4 * n + 1, dtype=np.int64)
+        exp[:2 * n] = exps * 2
+        log = np.full(q, 2 * n, dtype=np.int64)
+        log[exps] = np.arange(n)
+        return exp, log
 
     # int <-> coefficient vector
 
     def coeffs(self, a: int):
         """Base-p digits of a, low degree first, trimmed."""
-        out = []
-        while a:
-            out.append(a % self.p)
-            a //= self.p
-        return out
+        return _poly_trim(self._digits[a].tolist())
 
     def from_coeffs(self, c) -> int:
-        a = 0
-        for d in reversed(c):
-            a = a * self.p + d
-        return a
+        return sum(d * self.p ** k for k, d in enumerate(c))
 
     def elements(self):
         return range(self.q)
 
     # arithmetic
 
-    def add(self, a: int, b: int) -> int:
-        if self.r == 1:
-            return (a + b) % self.p
-        p, out, mult = self.p, 0, 1
-        while a or b:
-            out += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+    def add(self, a, b):
+        D = self._digits
+        return _scalar((D[a] + D[b]) % self.p @ self._place)
 
-    def neg(self, a: int) -> int:
-        if self.r == 1:
-            return (-a) % self.p
-        p, out, mult = self.p, 0, 1
-        while a:
-            out += ((p - a % p) % p) * mult
-            a //= p
-            mult *= p
-        return out
+    def neg(self, a):
+        return _scalar(-self._digits[a] % self.p @ self._place)
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+    def sub(self, a, b):
+        D = self._digits
+        return _scalar((D[a] - D[b]) % self.p @ self._place)
 
-    def mul(self, a: int, b: int) -> int:
-        if self._mul_table is not None:
-            return self._mul_table[a][b]
-        return self.from_coeffs(
-            _poly_mod(_poly_mul(self.coeffs(a), self.coeffs(b), self.p),
-                      list(self.modulus), self.p))
+    def mul(self, a, b):
+        return _scalar(self._exp[self._log[a] + self._log[b]])
 
-    def pow(self, a: int, n: int) -> int:
+    def inv(self, a):
+        if (np.asarray(a) == 0).any():
+            raise ZeroDivisionError("inverse of 0")
+        return _scalar(self._exp[self.q - 1 - self._log[a]])
+
+    def div(self, a, b):
+        if (np.asarray(b) == 0).any():
+            raise ZeroDivisionError("division by 0")
+        return _scalar(self._exp[self._log[a] + self.q - 1 - self._log[b]])
+
+    def pow(self, a, n: int):
         if n < 0:
             return self.pow(self.inv(a), -n)
-        out = 1
-        while n:
-            if n & 1:
-                out = self.mul(out, a)
-            a = self.mul(a, a)
-            n >>= 1
-        return out
+        a = np.asarray(a)
+        k = self._log[a] * (n % (self.q - 1)) % (self.q - 1)
+        return _scalar(np.where((a == 0) & (n > 0), 0, self._exp[k]))
 
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return self.pow(a, self.q - 2)
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    def mult_order(self, a: int) -> int:
-        if a == 0:
+    def mult_order(self, a):
+        if (np.asarray(a) == 0).any():
             raise FieldError("0 has no multiplicative order")
-        n, x = 1, a
-        while x != 1:
-            x = self.mul(x, a)
-            n += 1
-        return n
+        n = self.q - 1
+        return _scalar(n // np.gcd(self._log[a], n))
 
-    def is_square(self, a: int) -> bool:
-        if a == 0:
-            return True
-        if self.q % 2 == 0:
-            return True
-        return self.pow(a, (self.q - 1) // 2) == 1
+    def is_square(self, a):
+        """0, every element for even q, else the even powers of g."""
+        return _scalar((self._log[a] % 2 == 0) | (self.q % 2 == 0))
 
     def to_json(self):
         return {"p": self.p, "r": self.r, "modulus": list(self.modulus)}
@@ -242,11 +242,7 @@ def least_nonsquare(F: Field) -> int:
     """First element in canonical order that is not a square; q must be odd."""
     if F.q % 2 == 0:
         raise FieldError("no nonsquares in even characteristic")
-    squares = {F.mul(u, u) for u in F.elements()}
-    for a in F.elements():
-        if a not in squares:
-            return a
-    raise AssertionError("odd field without nonsquares")  # unreachable
+    return int(np.flatnonzero(~F.is_square(np.arange(F.q)))[0])
 
 
 def pell_solutions(F: Field, eps: int, c: int):
@@ -256,10 +252,13 @@ def pell_solutions(F: Field, eps: int, c: int):
     """
     if F.is_square(eps):
         raise FieldError(f"eps = {eps} is a square")
-    out = set()
-    for u in F.elements():
-        uu = F.mul(u, u)
-        for v in F.elements():
-            if F.sub(uu, F.mul(eps, F.mul(v, v))) == c:
-                out.add((u, v))
-    return out
+    x = np.arange(F.q)
+    sq = F.mul(x, x)
+    # u pairs with every v whose square is (u^2 - c)/eps
+    want = F.div(F.sub(sq, c), eps)
+    order = np.argsort(sq, kind="stable")
+    lo = np.searchsorted(sq[order], want, "left")
+    count = np.searchsorted(sq[order], want, "right") - lo
+    start = np.cumsum(count) - count
+    v = order[np.repeat(lo - start, count) + np.arange(count.sum())]
+    return set(zip(np.repeat(x, count).tolist(), v.tolist()))

@@ -38,9 +38,9 @@ def _audit_table(table: np.ndarray):
             and np.array_equal(table[:, 0], np.arange(v))):
         raise GroupError("index 0 is not a two-sided identity")
     # two-sided inverses: every row and column is a permutation hitting 0
-    for g in range(v):
-        if 0 not in table[g]:
-            raise GroupError(f"element {g} has no right inverse")
+    no_inverse = np.flatnonzero(table.min(axis=1))
+    if no_inverse.size:
+        raise GroupError(f"element {no_inverse[0]} has no right inverse")
     # associativity: exhaustive for small orders, deterministic sample above
     if v <= EXHAUSTIVE_AUDIT:
         for a in range(v):
@@ -56,12 +56,32 @@ def _audit_table(table: np.ndarray):
                 raise GroupError(f"associativity fails at ({a},{b},{c})")
 
 
+def _integer_table(table) -> np.ndarray:
+    """table as an int64 array; GroupError names the first entry that
+    is not an integer."""
+    arr = np.asarray(table)
+    if arr.dtype.kind in "iu":
+        return arr.astype(np.int64, copy=False)
+    entries = np.asarray(table, dtype=object)
+    for pos, x in enumerate(entries.reshape(-1).tolist()):
+        if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+            at = tuple(int(i) for i in np.unravel_index(pos, entries.shape))
+            raise GroupError(f"table entry {x!r} at {at} is not an integer")
+    return arr.astype(np.int64)
+
+
+def _flat(el):
+    """The integer coordinates of an element; nested tuples read flat."""
+    return ([c for part in el for c in _flat(part)]
+            if isinstance(el, tuple) else [el])
+
+
 class FiniteGroup:
     """A finite group on indices 0..v-1 with a materialized Cayley table."""
 
     def __init__(self, table, labels=None, name="group", elements=None,
                  audit=True):
-        table = np.asarray(table, dtype=np.int64)
+        table = _integer_table(table)
         if audit:
             _audit_table(table)
         self.table = table
@@ -72,31 +92,44 @@ class FiniteGroup:
         self.elements = elements  # optional normal-form objects
         self.index = ({el: i for i, el in enumerate(elements)}
                       if elements is not None else None)
-        inv = np.empty(self.order, dtype=np.int64)
-        for g in range(self.order):
-            inv[g] = int(np.where(table[g] == 0)[0][0])
-        self.inv = inv
+        # the first zero in each row: entries are nonnegative indices
+        self.inv = table.argmin(axis=1)
         self._orders = None
 
     @classmethod
     def from_elements(cls, elements, mul, name="group", label=None):
-        """Materialize a group from a list of elements and a product rule.
+        """Materialize a group from its elements and an array product rule.
 
-        elements[0] must be the identity.
+        Each element is a tuple of integer coordinates (nested tuples
+        read flat, an int is one coordinate) and together they fill the
+        grid of coordinate ranges once; elements[0] must be the identity.
+        mul(g, h) gets every element's coordinates as arrays along
+        separate axes, g's on the first half and h's on the second, and
+        returns the product's coordinates: one broadcast evaluation
+        covers all v^2 pairs.
         """
         v = len(elements)
         if v > TABLE_LIMIT:
             raise GroupError(f"order {v} exceeds table limit {TABLE_LIMIT}")
-        index = {el: i for i, el in enumerate(elements)}
-        if len(index) != v:
-            raise GroupError("duplicate elements")
-        table = np.empty((v, v), dtype=np.int64)
-        for i, a in enumerate(elements):
-            for j, b in enumerate(elements):
-                table[i, j] = index[mul(a, b)]
-        if label is None:
-            label = str
-        labels = [label(el) for el in elements]
+        coords = np.array([_flat(el) for el in elements], dtype=np.int64)
+        shape = tuple(int(n) for n in coords.max(axis=0) + 1)
+        grid = np.ravel_multi_index(tuple(coords.T), shape)
+        if math.prod(shape) != v or np.unique(grid).size != v:
+            raise GroupError("elements must fill their coordinate grid once")
+        k = len(shape)
+        axes = [np.arange(n).reshape((n,) + (1,) * (2 * k - 1 - i))
+                for i, n in enumerate(shape + shape)]
+        try:
+            prod = np.ravel_multi_index(
+                tuple(mul(tuple(axes[:k]), tuple(axes[k:]))), shape)
+        except ValueError as exc:
+            raise GroupError(f"product leaves the coordinate grid: {exc}")
+        table = prod.reshape(v, v)
+        if not np.array_equal(grid, np.arange(v)):  # listed off grid order
+            position = np.empty(v, dtype=np.int64)
+            position[grid] = np.arange(v)
+            table = position[table[np.ix_(grid, grid)]]
+        labels = [(label or str)(el) for el in elements]
         return cls(table, labels=labels, name=name, elements=list(elements))
 
     def mul(self, a: int, b: int) -> int:
@@ -215,9 +248,8 @@ def identity_automorphism(G: FiniteGroup) -> Automorphism:
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise GroupError("order must be positive")
-    els = list(range(n))
-    return FiniteGroup.from_elements(els, lambda a, b: (a + b) % n,
-                                     name=f"C{n}")
+    return FiniteGroup.from_elements(
+        list(range(n)), lambda g, h: ((g[0] + h[0]) % n,), name=f"C{n}")
 
 
 def elementary_abelian(p: int, k: int) -> FiniteGroup:
@@ -225,7 +257,7 @@ def elementary_abelian(p: int, k: int) -> FiniteGroup:
         raise GroupError(f"{p} is not prime")
     els = list(itertools.product(range(p), repeat=k))
     return FiniteGroup.from_elements(
-        els, lambda a, b: tuple((x + y) % p for x, y in zip(a, b)),
+        els, lambda g, h: tuple((x + y) % p for x, y in zip(g, h)),
         name=f"C{p}^{k}")
 
 
@@ -257,21 +289,13 @@ def heisenberg(F: Field, r: int = 1) -> FiniteGroup:
     if q ** (2 * r + 1) > TABLE_LIMIT:
         raise GroupError("group exceeds table limit")
     vecs = list(itertools.product(range(q), repeat=r))
-
-    def vadd(u, w):
-        return tuple(F.add(a, b) for a, b in zip(u, w))
-
-    def dot(u, w):
-        s = 0
-        for a, b in zip(u, w):
-            s = F.add(s, F.mul(a, b))
-        return s
-
     els = [(x, y, z) for x in vecs for y in vecs for z in range(q)]
 
     def mul(g, h):
-        (x, y, z), (a, b, c) = g, h
-        return (vadd(x, a), vadd(y, b), F.add(F.add(z, c), dot(x, b)))
+        z = F.add(g[-1], h[-1])
+        for xi, bi in zip(g[:r], h[r:2 * r]):
+            z = F.add(z, F.mul(xi, bi))
+        return [F.add(u, w) for u, w in zip(g[:-1], h[:-1])] + [z]
 
     return FiniteGroup.from_elements(els, mul, name=f"Heis({q},{r})")
 
@@ -310,10 +334,7 @@ def quaternion8() -> FiniteGroup:
     def mul(g, h):
         (i, j), (k, l) = g, h
         # b a^k = a^-k b, b^2 = a^2
-        i2 = (i + (-k if j else k)) % 4
-        if j and l:
-            return ((i2 + 2) % 4, 0)
-        return (i2, (j + l) % 2)
+        return ((i + k - 2 * j * k + 2 * j * l) % 4, (j + l) % 2)
 
     return FiniteGroup.from_elements(
         els, mul, name="Q8", label=lambda e: f"a^{e[0]}b^{e[1]}")
@@ -479,48 +500,32 @@ def central_product(G1: FiniteGroup, G2: FiniteGroup,
     v1, v2 = G1.order, G2.order
     if v1 * v2 // len(Z1) > TABLE_LIMIT:
         raise GroupError("central product exceeds table limit")
-    D = [(z, int(G2.inv[theta[z]])) for z in Z1.members]
-
-    # cosets of the central subgroup D in G1 x G2, keyed by least pair index
-    pair = lambda a, b: a * v2 + b
-    rep_of = np.full(v1 * v2, -1, dtype=np.int64)
-    reps = []
+    zs = list(Z1.members)
+    ws = G2.inv[[theta[z] for z in zs]]  # D = {(z, theta(z)^-1)}
     t1, t2 = G1.table, G2.table
-    for a in range(v1):
-        for b in range(v2):
-            i = pair(a, b)
-            if rep_of[i] >= 0:
-                continue
-            coset = [pair(int(t1[a, z]), int(t2[b, w])) for z, w in D]
-            r = min(coset)
-            for j in coset:
-                rep_of[j] = r
-            reps.append(r)
-    reps.sort()
-    idx_of_rep = {r: i for i, r in enumerate(reps)}
+    # pair (a, b) has index a*v2 + b; its D-coset's least pair index
+    # is the coset's representative
+    rep_of = (t1[:, zs][:, None, :] * v2 + t2[:, ws][None, :, :]).min(
+        axis=2).reshape(-1)
+    reps = np.unique(rep_of)
+    idx_of_pair = np.searchsorted(reps, rep_of)
 
-    v = len(reps)
-    table = np.empty((v, v), dtype=np.int64)
-    for i, r in enumerate(reps):
-        a1, a2 = divmod(r, v2)
-        for j, s in enumerate(reps):
-            b1, b2 = divmod(s, v2)
-            prod = pair(int(t1[a1, b1]), int(t2[a2, b2]))
-            table[i, j] = idx_of_rep[int(rep_of[prod])]
-    labels = [f"[{G1.labels[r // v2]}.{G2.labels[r % v2]}]" for r in reps]
+    a, b = np.divmod(reps, v2)
+    pairs = t1[np.ix_(a, a)] * v2
+    pairs += t2[np.ix_(b, b)]
+    table = idx_of_pair[pairs]
+    del pairs
+    labels = [f"[{G1.labels[r // v2]}.{G2.labels[r % v2]}]"
+              for r in reps.tolist()]
     G = FiniteGroup(table, labels=labels,
                     name=f"{G1.name}*{G2.name}")
-    embed1 = np.array([idx_of_rep[int(rep_of[pair(a, 0)])]
-                       for a in range(v1)], dtype=np.int64)
-    embed2 = np.array([idx_of_rep[int(rep_of[pair(0, b)])]
-                       for b in range(v2)], dtype=np.int64)
-    amalg = Subgroup(G, tuple(int(embed1[z]) for z in Z1.members))
+    embed1 = idx_of_pair[np.arange(v1) * v2]
+    embed2 = idx_of_pair[:v2]
+    amalg = Subgroup(G, tuple(int(embed1[z]) for z in zs))
     # the embedded copies must commute elementwise and intersect in amalg
-    im1, im2 = set(embed1.tolist()), set(embed2.tolist())
-    if im1 & im2 != set(amalg.members):
+    if set(embed1.tolist()) & set(embed2.tolist()) != set(amalg.members):
         raise GroupError("embedded factors do not intersect in Z")
-    for g1 in im1:
-        for g2 in im2:
-            if table[g1, g2] != table[g2, g1]:
-                raise GroupError("embedded factors do not commute")
+    if not np.array_equal(table[np.ix_(embed1, embed2)],
+                          table[np.ix_(embed2, embed1)].T):
+        raise GroupError("embedded factors do not commute")
     return CentralProduct(G, embed1, embed2, amalg)

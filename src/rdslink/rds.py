@@ -387,10 +387,7 @@ def cayley_adjacency(G: FiniteGroup, S) -> np.ndarray:
     if S != {int(G.inv[g]) for g in S}:
         raise RdsError("connection set must be reversible")
     adj = np.zeros((G.order, G.order), dtype=bool)
-    t = G.table
-    for s in S:
-        for u in range(G.order):
-            adj[u, int(t[s, u])] = True
+    adj[np.arange(G.order), G.table[sorted(S)]] = True
     return adj
 
 

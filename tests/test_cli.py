@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -195,3 +196,63 @@ def test_verify_perturbed_without_forbidden(bundles, tmp_path, kind):
     assert not r["ok"]
     typed = {c.__name__ for c in (RdsError, *RdsError.__subclasses__())}
     assert r["error"].split(":")[0] in typed
+
+
+# sha256 of each command's output, pinned when every table was still
+# built cell by cell: the array-native construction layer must write
+# the same bytes.  q = 9 and n = 9 cover extension fields.
+BUNDLE_DIGESTS = {
+    "construct heisenberg --q 3":
+        "291c9528c091c8890d34da3a8350e1eee55ecc57a902d61bde2051c0d6a069ca",
+    "construct heisenberg --q 9":
+        "66f265b24f4de539eb6a3f32bdbd7fff9331c0b34c4df148cdc1596138a5d82d",
+    "construct heisenberg2r --q 3 --r 2":
+        "e76b9962b070dc17fa9c24dcc88d2a54e530c902d8b45c0d7c256d34e366dcc8",
+    "construct extraspecial --p 3":
+        "c20bc5aed1f0b86bfdd1529dc9e0826cbb70ce3b278c8e643410064987fb3283",
+    "construct q8":
+        "2dec87154131a4463ee08793b988e324e15a461a6b09e2218f67c79db4f1a437",
+    "construct q8-2r --r 2":
+        "f6d41222b27f36d8a0441a0cfe426752e1795de87e8a3c47211ba731c192ca09",
+    "construct dps --n 4 --t 4 --s 4":
+        "e8ebd0ef050bc94701d470cfee7b8004de6079d8da0d04ff5ffe2fbd0d3cb904",
+    "construct dps --n 9 --t 3 --s 3":
+        "9f4652646ec54f802cc10b8c610a1ef5d140862fc975f0197dd46f8f2c2d6eb3",
+    "construct thm12 --p 3 --r 2":
+        "f5a71947f0c2032c6144489a87f1bb020d2c758deef473a7e51dccf529025020",
+    "export graph --q 3 --format dimacs":
+        "c0978f353b9302188ec83cfed80282ec1ac664bd9d447054a5352f07986dda72",
+    "export dev --q 3 --format json":
+        "f26848203a6fa03c08c773567034fe347ffbec4bbda706d62524296febec6309",
+    "export ctensor --family extraspecial --p 3":
+        "497e18280a47e1620bc49771e08cf4db0efdb7646758428fce8b36fa18392868",
+    "export ctensor --q 5":
+        "49d55712cf74fe0442525e8118806b18922dbada4e3b78d0544b020c49587070",
+}
+
+
+@pytest.mark.parametrize("command", list(BUNDLE_DIGESTS))
+def test_bundle_digests(tmp_path, command):
+    out = tmp_path / "out"
+    assert run(command.split() + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        BUNDLE_DIGESTS[command]
+
+
+@pytest.mark.parametrize("group, where", [
+    ({"order": 2, "table": [0, 1, 1, 0.9]}, "at (1, 1)"),
+    ({"order": 3, "table": [0, 1, 2, 1, 2, 0, 2, 0]}, "position 8"),
+    ({"table": [0, 1, 1, 0]}, "'order'"),
+])
+def test_verify_rejects_malformed_table(tmp_path, group, where):
+    gfile = tmp_path / "g.json"
+    gfile.write_text(json.dumps(group))
+    classes = tmp_path / "classes.json"
+    classes.write_text(json.dumps({"classes": [[0], [1]]}))
+    report = tmp_path / "rep.json"
+    assert run(["verify", "sring", "--group", str(gfile), "--sets",
+                str(classes), "--out", str(report)]) == 1
+    r = load(report)
+    assert r["ok"] is False
+    assert r["error"].startswith("GroupError:")
+    assert where in r["error"]

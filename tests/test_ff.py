@@ -96,3 +96,82 @@ def test_pell_rejects_square_coefficient():
     F = field_make(5)
     with pytest.raises(FieldError):
         pell_solutions(F, 4, 1)
+
+
+
+def _oracle(F):
+    """Independent GF(p^r) arithmetic: sympy's dense polynomials over
+    Z_p, highest degree first, reduced modulo F.modulus.  Returns add,
+    mul, power and the multiplicative order."""
+    from sympy import factorint
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_add, gf_mul, gf_pow_mod, gf_rem
+
+    p = F.p
+    mod = list(reversed(F.modulus))
+
+    def poly(a):
+        return [ZZ(d) for d in reversed(F.coeffs(a))]
+
+    def num(f):
+        return F.from_coeffs([int(d) for d in reversed(f)])
+
+    def add(a, b):
+        return num(gf_add(poly(a), poly(b), p, ZZ))
+
+    def mul(a, b):
+        return num(gf_rem(gf_mul(poly(a), poly(b), p, ZZ), mod, p, ZZ))
+
+    def power(a, n):
+        return num(gf_pow_mod(poly(a), n, mod, p, ZZ))
+
+    def order(a):
+        """The least n with a^n = 1: strip from q - 1 every prime that
+        keeps a^n = 1."""
+        n = F.q - 1
+        for ell in factorint(n):
+            while n % ell == 0 and power(a, n // ell) == 1:
+                n //= ell
+        return n
+
+    return add, mul, power, order
+
+
+@pytest.mark.parametrize("p, r", [(2, 4), (3, 3), (5, 2)])
+def test_full_tables_against_sympy(p, r):
+    F = field_make(p, r)
+    add, mul, power, order = _oracle(F)
+    xs = list(F.elements())
+    squares = {mul(b, b) for b in xs}
+    for a in xs:
+        assert [F.add(a, b) for b in xs] == [add(a, b) for b in xs]
+        assert [F.mul(a, b) for b in xs] == [mul(a, b) for b in xs]
+        assert F.is_square(a) is (a in squares)
+        if a:
+            assert mul(a, F.inv(a)) == 1
+            assert F.mult_order(a) == order(a)
+
+
+@pytest.mark.parametrize("p, r", [(2, 16), (3, 10)])
+def test_large_fields_against_sympy(p, r):
+    """500 seeded pairs in fields of more than 4096 elements; inverses
+    and squares on 50 of them.  Orders are checked on elements of the
+    subfield GF(p^(r/2)), which have small order."""
+    import random
+
+    F = field_make(p, r)
+    add, mul, power, order = _oracle(F)
+    q = F.q
+    rng = random.Random(q)
+    pairs = [(rng.randrange(1, q), rng.randrange(q)) for _ in range(500)]
+    for a, b in pairs:
+        assert F.add(a, b) == add(a, b)
+        assert F.mul(a, b) == mul(a, b)
+    for a, _ in pairs[:50]:
+        assert mul(a, F.inv(a)) == 1
+        assert F.is_square(a) is (q % 2 == 0
+                                  or power(a, (q - 1) // 2) == 1)
+    into_subfield = (q - 1) // (p ** (r // 2) - 1)
+    for a, _ in pairs[:20]:
+        c = power(a, into_subfield)
+        assert F.mult_order(c) == order(c)

@@ -48,6 +48,16 @@ def test_audit_rejects_shifted_identity():
         FiniteGroup(t)
 
 
+def test_audit_rejects_non_integer_entry():
+    with pytest.raises(GroupError, match=r"0\.9 at \(1, 1\)"):
+        FiniteGroup([[0, 1], [1, 0.9]])
+
+
+def test_from_elements_rejects_product_off_grid():
+    with pytest.raises(GroupError, match="coordinate grid"):
+        FiniteGroup.from_elements([0, 1, 2], lambda g, h: (g[0] + h[0],))
+
+
 def test_heisenberg_basic():
     G = heisenberg(field_make(3), 1)
     assert G.order == 27
