@@ -175,11 +175,20 @@ def _load_sets(path):
             data = [data["set"]]
         elif "classes" in data:
             data = data["classes"]
+    if not isinstance(data, list):
+        raise GroupError(f"{path}: no list of sets")
     if data and isinstance(data[0], dict):
         data = [d["indices"] for d in data]
-    if data and isinstance(data[0], int):
+    if data and not isinstance(data[0], list):
         data = [data]
-    return [[int(g) for g in s] for s in data]
+    for i, s in enumerate(data):
+        if not isinstance(s, list):
+            raise GroupError(f"{path}: set {i} is {s!r}, not a list")
+        for pos, g in enumerate(s):
+            if type(g) is not int:
+                raise GroupError(f"{path}: set {i} has {g!r} at position "
+                                 f"{pos}, not an element index")
+    return data
 
 
 def _forbidden(G, args, X) -> Subgroup:

@@ -372,13 +372,13 @@ def right_cosets(G: FiniteGroup, H: Subgroup):
 
 def is_transversal(G: FiniteGroup, H: Subgroup, X):
     """(left, right): does X meet every left / right H-coset exactly once."""
-    X = list(X)
-    if len(X) * len(H) != G.order:
+    X = np.asarray(list(X))
+    if X.size * len(H) != G.order:
         return (False, False)
-    t = G.table
+    t, h = G.table, np.asarray(H.members)
     # right coset of g is Hg; X is a right transversal iff the sets Hx cover G
-    right = len({int(t[h, x]) for x in X for h in H.members}) == G.order
-    left = len({int(t[x, h]) for x in X for h in H.members}) == G.order
+    right = np.unique(t[np.ix_(h, X)]).size == G.order
+    left = np.unique(t[np.ix_(X, h)]).size == G.order
     return (left, right)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ff import Field
-from .groups import FiniteGroup, GroupError, Subgroup, right_cosets
+from .groups import FiniteGroup, GroupError, Subgroup, is_transversal
 from .groupring import GroupRingElement, class_values
 
 
@@ -150,17 +150,9 @@ def verify_rds(G: FiniteGroup, X, N: Subgroup) -> RdsCertificate:
     if k * (k - 1) != lam * n * (m - 1):
         raise RdsError("parameter identity k(k-1) = lambda n (m-1) fails")
     semiregular = (k == m)
-    if semiregular:
-        # cross-check: X meets every right N-coset exactly once
-        hits = {c: 0 for c in right_cosets(G, N)}
-        lookup = {}
-        for c in hits:
-            for g in c:
-                lookup[g] = c
-        for g in X:
-            hits[lookup[g]] += 1
-        if any(h != 1 for h in hits.values()):
-            raise LemmaViolation("k = m but X is not a right transversal")
+    # cross-check: X meets every right N-coset exactly once
+    if semiregular and not is_transversal(G, N, X)[1]:
+        raise LemmaViolation("k = m but X is not a right transversal")
     reversible = (X == tuple(sorted(int(G.inv[g]) for g in X)))
     icom = is_icommuting(G, X, N)
     return RdsCertificate(G, X, N, m, n, k, lam, semiregular, reversible,

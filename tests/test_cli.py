@@ -256,3 +256,28 @@ def test_verify_rejects_malformed_table(tmp_path, group, where):
     assert r["ok"] is False
     assert r["error"].startswith("GroupError:")
     assert where in r["error"]
+
+
+@pytest.mark.parametrize("perturb, where", [
+    pytest.param(lambda X: [g + 0.4 for g in X],
+                 "set 0 has 0.4 at position 0", id="float"),
+    pytest.param(lambda X: X[:3] + [True] + X[4:],
+                 "set 0 has True at position 3", id="bool"),
+    pytest.param(lambda X: X[:5] + [str(X[5])] + X[6:],
+                 "at position 5", id="string"),
+])
+def test_verify_rejects_non_integer_set_entries(tmp_path, perturb, where):
+    bundle = tmp_path / "h.json"
+    assert run(["construct", "heisenberg", "--q", "3", "--out",
+                str(bundle)]) == 0
+    X0 = load(bundle)["sets"][0]["indices"]
+    assert X0[0] == 0  # so 0.4 is the first entry of the perturbed set
+    sets = tmp_path / "set.json"
+    sets.write_text(json.dumps({"set": perturb(X0)}))
+    report = tmp_path / "rep.json"
+    assert run(["verify", "rds", "--group", str(bundle), "--sets",
+                str(sets), "--out", str(report)]) == 1
+    r = load(report)
+    assert r["ok"] is False
+    assert r["error"].startswith("GroupError:")
+    assert where in r["error"]
