@@ -244,15 +244,12 @@ def _graph_text(adj, fmt):
             nbrs = " ".join(str(int(w)) for w in np.where(adj[u])[0])
             lines.append(f"{u}: {nbrs}")
         return "\n".join(lines) + "\n"
+    edges = np.argwhere(np.triu(adj, 1))  # u < w, sorted by u then w
     if fmt == "dimacs":
-        edges = [(u, w) for u in range(v) for w in np.where(adj[u])[0]
-                 if u < w]
         lines = [f"p edge {v} {len(edges)}"]
-        lines += [f"e {u + 1} {int(w) + 1}" for u, w in edges]
+        lines += [f"e {u} {w}" for u, w in (edges + 1).tolist()]
         return "\n".join(lines) + "\n"
-    edges = [[u, int(w)] for u in range(v) for w in np.where(adj[u])[0]
-             if u < w]
-    return json.dumps({"vertices": v, "edges": edges},
+    return json.dumps({"vertices": v, "edges": edges.tolist()},
                       sort_keys=True, indent=2) + "\n"
 
 

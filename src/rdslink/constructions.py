@@ -18,7 +18,6 @@ from .groups import (FiniteGroup, Subgroup, Automorphism,
                      elementary_abelian, extraspecial_mp3,
                      generated_perm_group, heisenberg,
                      quaternion8, direct_product)
-from .groupring import GroupRingElement
 from .linked import LinkedCertificate, linked_product, verify_linked
 from .rds import rds_product, verify_pds, verify_rds
 from .schur import SchurPartition, amorphic_latin, cyclotomic
@@ -509,14 +508,6 @@ def dps_system(F: Field, t: int, s: int | None = None,
             raise ConstructionError("|Y_f| != n^2")
         fams.append(tuple(sorted(members)))
 
-    # Y_f^(-1) = Y_(-f)
-    neg = {tuple(tuple((-x) % p for x in row) for row in M): k
-           for k, M in enumerate(endos[1:])}
-    for k, M in enumerate(endos[1:]):
-        inv_set = tuple(sorted(int(ambient.inv[g]) for g in fams[k]))
-        if inv_set != fams[neg[M]]:
-            raise ConstructionError("Y_f^(-1) != Y_(-f)")
-
     N = Subgroup(ambient, tuple(h_idx * vg for h_idx in range(t)))
     cert = verify_linked(ambient, N, fams)
     expect = (n * n, t, n * n, n * n // t, s - 1,
@@ -524,33 +515,22 @@ def dps_system(F: Field, t: int, s: int | None = None,
     if cert.parameters != expect:
         raise ConstructionError(
             f"parameters {cert.parameters} differ from predicted {expect}")
-    _check_dps_products(ambient, N, endos, fams, n, t, p)
-    return DpsSystem(F, t, H, plane, ambient, endos, sets, fams, cert)
-
-
-def _check_dps_products(ambient, N, endos, fams, n, t, p):
-    """The two-case product identity for every pair (f1, f2), the
-    inverse pairs included.  The inverse case is n^2 e + (n^2/t)
-    (HxG - H): the forbidden subgroup is missed entirely, as the RDS
-    property demands."""
-    e = GroupRingElement.basis(ambient, 0)
-    allg = GroupRingElement.indicator(ambient, range(ambient.order))
-    hh = GroupRingElement.indicator(ambient, N.members)
-    ind = {k: GroupRingElement.indicator(ambient, fams[k])
-           for k in range(len(fams))}
+    # with these parameters verify_linked has shown every non-inverse
+    # product to be n Y_psi + ((n-1)n/t)(H x G) and Y_f Y_chi(f) to be the
+    # RDS equation: the product identity, Y_f^(-1) = Y_(-f) among it,
+    # holds iff chi and psi add the endomorphisms
     key = {M: k for k, M in enumerate(endos[1:])}
-    zero = endos[0]
     for (M1, k1), (M2, k2) in itertools.product(key.items(), repeat=2):
         Msum = tuple(tuple((a + b) % p for a, b in zip(r1, r2))
                      for r1, r2 in zip(M1, M2))
-        lhs = ind[k1] * ind[k2]
-        if Msum == zero:
-            rhs = (n * n) * e + (n * n // t) * (allg - hh)
+        if Msum == endos[0]:
+            ok = cert.chi[k1] == k2
         else:
-            rhs = n * ind[key[Msum]] + ((n - 1) * n // t) * allg
-        if lhs != rhs:
+            ok = cert.chi[k1] != k2 and cert.psi[(k1, k2)] == key[Msum]
+        if not ok:
             raise ConstructionError(
                 f"product identity fails for pair ({k1},{k2})")
+    return DpsSystem(F, t, H, plane, ambient, endos, sets, fams, cert)
 
 
 # ---------------------------------------------------------------------------

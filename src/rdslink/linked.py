@@ -82,7 +82,8 @@ def verify_linked(G: FiniteGroup, N: Subgroup, family) -> LinkedCertificate:
     member; (mu, nu) are read off and cross-checked against the closed
     formulas (one sign branch must match).
     """
-    sets = [tuple(sorted(set(int(g) for g in X))) for X in family]
+    ind = [GroupRingElement.indicator(G, X) for X in family]
+    sets = [x.support() for x in ind]
     s = len(sets)
     if s < 2:
         raise LinkedError("a linked system needs at least 2 members")
@@ -104,7 +105,6 @@ def verify_linked(G: FiniteGroup, N: Subgroup, family) -> LinkedCertificate:
     chi = tuple(chi)
     assert all(chi[chi[a]] == a for a in range(s))
 
-    ind = [GroupRingElement.indicator(G, X) for X in sets]
     psi = {}
     mu = nu = None
     for a, b in itertools.product(range(s), repeat=2):

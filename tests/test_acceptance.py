@@ -2,6 +2,7 @@
 pass line with the measured facts.  Everything is recomputed in-process
 by the generic verifiers; nothing is asserted from memory."""
 
+import itertools
 import random
 import time
 
@@ -147,12 +148,34 @@ def test_criterion_07_branch_resolution():
           f"{h_flag}; q8-2r r=2 realized {realized_q} — {q_flag}")
 
 
+def _check_dps_products(ambient, N, endos, fams, n, t, p):
+    """The two-case product identity for every pair (f1, f2), the
+    inverse pairs included.  The inverse case is n^2 e + (n^2/t)
+    (HxG - H): the forbidden subgroup is missed entirely, as the RDS
+    property demands."""
+    e = GroupRingElement.basis(ambient, 0)
+    allg = GroupRingElement.indicator(ambient, range(ambient.order))
+    hh = GroupRingElement.indicator(ambient, N.members)
+    ind = {k: GroupRingElement.indicator(ambient, fams[k])
+           for k in range(len(fams))}
+    key = {M: k for k, M in enumerate(endos[1:])}
+    zero = endos[0]
+    for (M1, k1), (M2, k2) in itertools.product(key.items(), repeat=2):
+        Msum = tuple(tuple((a + b) % p for a, b in zip(r1, r2))
+                     for r1, r2 in zip(M1, M2))
+        lhs = ind[k1] * ind[k2]
+        if Msum == zero:
+            rhs = (n * n) * e + (n * n // t) * (allg - hh)
+        else:
+            rhs = n * ind[key[Msum]] + ((n - 1) * n // t) * allg
+        assert lhs == rhs, f"product identity fails for pair ({k1},{k2})"
+
+
 def test_criterion_08_dps(dps3, dps4):
     assert dps3.certificate.parameters == (9, 3, 9, 3, 2, 5, 2)
     assert dps4.certificate.parameters == (16, 4, 16, 4, 3, 7, 3)
-    # the pairwise product identity (inverse pairs included) is enforced
-    # by the constructor; re-run it here explicitly
-    from rdslink.constructions import _check_dps_products
+    # the constructor reads the pairwise product identity off chi and
+    # psi; re-run the identity itself here, inverse pairs included
     for ds in (dps3, dps4):
         n, t = ds.n_field.q, ds.t
         _check_dps_products(ds.ambient, ds.certificate.N, ds.endos,

@@ -222,8 +222,14 @@ BUNDLE_DIGESTS = {
         "f5a71947f0c2032c6144489a87f1bb020d2c758deef473a7e51dccf529025020",
     "export graph --q 3 --format dimacs":
         "c0978f353b9302188ec83cfed80282ec1ac664bd9d447054a5352f07986dda72",
+    "export graph --q 3 --format adjlist":
+        "28f0534469698a4cad14b7afa271e6a0a6097cd4872042ec9706817e266f95f1",
+    "export graph --q 3 --format json":
+        "aba3d90a245f7f0207e36a0999c3271e7a026060d8df377c092d8309315eb467",
     "export dev --q 3 --format json":
         "f26848203a6fa03c08c773567034fe347ffbec4bbda706d62524296febec6309",
+    "export dev --family q8 --format adjlist":
+        "5115e63a66bdd29220531d5a4d66dd2d6da91b3b138b40600f81ed4a910918ba",
     "export ctensor --family extraspecial --p 3":
         "497e18280a47e1620bc49771e08cf4db0efdb7646758428fce8b36fa18392868",
     "export ctensor --q 5":

@@ -1,5 +1,6 @@
 import pytest
 
+from rdslink import constructions
 from rdslink.ff import field_make
 from rdslink.groups import center, is_normal, is_transversal
 from rdslink.linked import LinkedError, verify_linked
@@ -173,6 +174,29 @@ def test_dps_inverse_matching(dps3):
     amb = dps3.ambient
     inv0 = tuple(sorted(int(amb.inv[g]) for g in dps3.families[0]))
     assert inv0 in dps3.families
+
+
+def _swap_psi(cert):
+    cert.psi[(0, 0)], cert.psi[(1, 1)] = cert.psi[(1, 1)], cert.psi[(0, 0)]
+
+
+def _fix_chi(cert):
+    cert.chi = (0, 1)
+
+
+@pytest.mark.parametrize("corrupt", [_swap_psi, _fix_chi])
+def test_dps_rejects_chi_psi_off_the_endomorphism_sum(monkeypatch, corrupt):
+    # Y_1 Y_1 = n Y_2 + ... over GF(3): psi(0, 0) must be 1, chi(0) = 1
+    real = constructions.verify_linked
+
+    def corrupted(*args):
+        cert = real(*args)
+        corrupt(cert)
+        return cert
+
+    monkeypatch.setattr(constructions, "verify_linked", corrupted)
+    with pytest.raises(ConstructionError, match=r"pair \(0,0\)"):
+        dps_system(field_make(3), 3)
 
 
 def test_dps_bad_parameters():

@@ -1,5 +1,6 @@
 import pytest
 
+from rdslink.groupring import GroupRingError
 from rdslink.linked import (InverseNotInFamily, LinkedError,
                             NonIntegralBranch, associated_group,
                             munu_branches, verify_linked)
@@ -31,6 +32,14 @@ def test_verify_linked_requires_inverses(heis3):
     # {X_0, X_1} omits X_1^(-1) = X_2
     with pytest.raises(InverseNotInFamily):
         verify_linked(G, Z, [heis3.sets[0], heis3.sets[1]])
+
+
+def test_verify_linked_rejects_float_entries(heis3):
+    # int() would read X_0 + 0.4 as X_0 and certify the system
+    fam = [list(X) for X in heis3.sets.values()]
+    fam[0] = [g + 0.4 for g in fam[0]]
+    with pytest.raises(GroupRingError, match="not an integer"):
+        verify_linked(heis3.group, heis3.center, fam)
 
 
 def test_verify_linked_rejects_tiny_family(heis3):

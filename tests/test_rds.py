@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rdslink.ff import field_make
+from rdslink.groupring import GroupRingError
 from rdslink.groups import (Subgroup, center, cyclic, direct_product,
                             heisenberg, right_cosets)
 from rdslink.rds import (EquationFails, IntersectionArray, LambdaNotPositive,
@@ -29,6 +30,13 @@ def test_verify_rds_failure_witness():
     with pytest.raises(EquationFails) as ei:
         verify_rds(G, (0, 2), N)  # hits the forbidden subgroup
     assert ei.value.element is not None
+
+
+def test_verify_rds_rejects_float_entries(heis3):
+    # int() would read X_0 + 0.4 as X_0, a (9, 3, 9, 3)-RDS
+    X = [g + 0.4 for g in heis3.sets[0]]
+    with pytest.raises(GroupRingError, match="not an integer"):
+        verify_rds(heis3.group, X, heis3.center)
 
 
 def test_lambda_not_positive():
@@ -109,6 +117,11 @@ def test_verify_pds_paley():
     assert cert.parameters == (5, 2, 0, 1)
 
 
+def test_verify_pds_rejects_float_entries():
+    with pytest.raises(GroupRingError, match="not an integer"):
+        verify_pds(cyclic(5), (1.4, 4))
+
+
 def test_rds_to_pds_requires_reversible():
     G = cyclic(4)
     N = Subgroup(G, (0, 2))
@@ -168,6 +181,11 @@ def test_cayley_adjacency_validation():
         cayley_adjacency(G, (1, 2))  # not reversible
     adj = cayley_adjacency(G, (1, 4))
     assert adj.sum() == 10  # 2-regular on 5 vertices
+
+
+def test_cayley_adjacency_rejects_float_entries():
+    with pytest.raises(GroupRingError, match="not an integer"):
+        cayley_adjacency(cyclic(5), (1.5, 4))
 
 
 def test_dev():
