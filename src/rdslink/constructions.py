@@ -15,8 +15,7 @@ import numpy as np
 from .ff import Field, field_make, least_nonsquare, is_prime
 from .groups import (FiniteGroup, Subgroup, Automorphism,
                      automorphism_from_images, center, central_product,
-                     elementary_abelian, extraspecial_mp3,
-                     generated_perm_group, heisenberg,
+                     elementary_abelian, extraspecial_mp3, heisenberg,
                      quaternion8, direct_product)
 from .linked import LinkedCertificate, linked_product, verify_linked
 from .rds import rds_product, verify_pds, verify_rds
@@ -148,64 +147,21 @@ def heisenberg_system(F: Field, eps: int | None = None) -> HeisenbergSystem:
     return HeisenbergSystem(F, G, eps, delta, Z, P, orbit_sets, sets, cert)
 
 
-def _subgroup_iso(Z1: Subgroup, Z2: Subgroup) -> dict:
-    """Deterministic isomorphism Z1 -> Z2 by backtracking over
-    order-matching bijections (tiny central subgroups only)."""
-    m1, m2 = list(Z1.members), list(Z2.members)
-    if len(m1) != len(m2):
-        raise ConstructionError("subgroups have different orders")
-    t1, t2 = Z1.group.table, Z2.group.table
-    ord1 = {g: Z1.group.element_order(g) for g in m1}
-    ord2 = {g: Z2.group.element_order(g) for g in m2}
-    n = len(m1)
-    theta = {}
-    used = set()
-
-    def consistent(a, b):
-        for x, y in theta.items():
-            p1 = int(t1[a, x])
-            if p1 in theta and theta[p1] != int(t2[b, y]):
-                return False
-            q1 = int(t1[x, a])
-            if q1 in theta and theta[q1] != int(t2[y, b]):
-                return False
-        return True
-
-    def complete():
-        return all(int(t1[x, y]) in theta
-                   and theta[int(t1[x, y])] == int(t2[theta[x], theta[y]])
-                   for x in theta for y in theta)
-
-    def extend(i):
-        if i == n:
-            return complete()
-        a = m1[i]
-        for b in m2:
-            if b in used or ord1[a] != ord2[b] or not consistent(a, b):
-                continue
-            theta[a] = b
-            used.add(b)
-            if extend(i + 1):
-                return True
-            del theta[a]
-            used.remove(b)
-        return False
-
-    if not extend(0):
-        raise ConstructionError("central subgroups are not isomorphic")
-    return dict(theta)
-
-
 def _iterated_linked_product(base_group, base_center, base_cert, r,
                              f=None):
-    """Central-product r copies of a base system, linking with f = id."""
+    """Central-product r copies of a base system, linking with f = id.
+
+    Each step after the first amalgamates along the previous one: the
+    center it built is the base center's image under embed2."""
     G_cur, Z_cur, cert_cur = base_group, base_center, base_cert
+    theta = None
     for _ in range(r - 1):
         cp = central_product(G_cur, base_group, Z_cur, base_center,
-                             theta=_subgroup_iso(Z_cur, base_center))
+                             theta=theta)
         cert_cur = linked_product(cp.group, cp.embed1, cp.embed2,
                                   cert_cur, base_cert, f=f)
         G_cur, Z_cur = cp.group, cert_cur.N
+        theta = {int(cp.embed2[z]): z for z in base_center.members}
     return G_cur, cert_cur
 
 
@@ -287,11 +243,16 @@ def extraspecial_rds(p: int) -> ExtraspecialSystem:
         G, {x_idx: G.index[(xi, 0)], y_idx: y_idx})
     if sigma.order() != p or tau.order() != p - 1:
         raise ConstructionError("sigma or tau has wrong order")
-    # tau sigma tau^-1 = sigma^eta, so <sigma, tau> is Frobenius of
-    # order p(p-1)
-    K = generated_perm_group([sigma, tau])
-    if len(K) != p * (p - 1):
-        raise ConstructionError(f"|K| = {len(K)}, expected {p * (p - 1)}")
+    # tau sigma tau^-1 = sigma^eta: tau normalizes <sigma>, and
+    # |sigma| = p and |tau| = p - 1 are coprime, so K = <sigma><tau> is
+    # the Frobenius group of order p(p-1)
+    eta = pow(eta_xi, -1, p)
+    sigma_eta = np.arange(G.order)
+    for _ in range(eta):
+        sigma_eta = sigma.perm[sigma_eta]
+    if not np.array_equal(tau.perm[sigma.perm[np.argsort(tau.perm)]],
+                          sigma_eta):
+        raise ConstructionError(f"tau sigma tau^-1 != sigma^{eta}")
 
     P = cyclotomic(G, [sigma, tau])
     if P.rank != 3 * p:
@@ -554,12 +515,14 @@ def theorem_1_2_rds(p: int, r: int):
         F = field_make(p)
         hs = heisenberg_system(F)
         X0 = hs.sets[0]
+        theta = None  # later steps amalgamate along the previous one
         for _ in range(r - 1):
             cp = central_product(G_cur, hs.group, Z_cur, hs.center,
-                                 theta=_subgroup_iso(Z_cur, hs.center))
+                                 theta=theta)
             X_cur, cert = rds_product(cp.group, cp.embed1, cp.embed2,
                                       X_cur, X0)
             G_cur, Z_cur = cp.group, cert.N
+            theta = {int(cp.embed2[z]): z for z in hs.center.members}
     cert = verify_rds(G_cur, X_cur, Z_cur)
     expect = (p ** (2 * r), p, p ** (2 * r), p ** (2 * r - 1))
     if cert.parameters != expect:

@@ -106,9 +106,6 @@ class GroupRingElement:
         self._check(other)
         return int(self.vec @ other.vec)
 
-    def coeff_sum(self) -> int:
-        return int(self.vec.sum())
-
     def support(self):
         return tuple(int(g) for g in np.nonzero(self.vec)[0])
 

@@ -4,8 +4,8 @@ Elements are integers 0..v-1 with the identity at index 0.  Every
 group built here carries its v x v multiplication table, so all
 downstream checks are exhaustive exact arithmetic.  Heisenberg groups,
 the extraspecial group of order p^3 and exponent p^2, Q8, abelian
-groups, and direct/central products are provided, plus subgroups,
-automorphisms, orbits, and transversal tests.
+groups, and direct/central products are provided, plus subgroups, the
+center, transversal tests, automorphisms and their orbits.
 """
 
 from __future__ import annotations
@@ -135,10 +135,6 @@ class FiniteGroup:
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
 
-    def conj(self, g: int, h: int) -> int:
-        """g h g^-1"""
-        return int(self.table[self.table[g, h], self.inv[g]])
-
     def element_order(self, g: int) -> int:
         n, x = 1, g
         while x != 0:
@@ -156,13 +152,6 @@ class FiniteGroup:
 
     def is_abelian(self) -> bool:
         return np.array_equal(self.table, self.table.T)
-
-    def order_multiset(self):
-        """Multiset of element orders, an isomorphism invariant."""
-        out = {}
-        for o in self.element_orders():
-            out[o] = out.get(o, 0) + 1
-        return out
 
     def to_json(self):
         return {"name": self.name, "order": self.order,
@@ -204,11 +193,13 @@ class Automorphism:
     perm: tuple  # perm[g] = image of g
 
     def __post_init__(self):
-        perm = np.asarray(self.perm, dtype=np.int64)
-        object.__setattr__(self, "perm", perm)
+        perm = np.asarray(self.perm)
         v = self.group.order
-        if perm.shape != (v,) or len(set(perm.tolist())) != v:
+        if perm.dtype.kind not in "iu" or perm.shape != (v,) or \
+                not np.array_equal(np.sort(perm), np.arange(v)):
             raise GroupError("automorphism must be a permutation of G")
+        perm = perm.astype(np.int64, copy=False)
+        object.__setattr__(self, "perm", perm)
         if perm[0] != 0:
             raise GroupError("automorphism must fix the identity")
         t = self.group.table
@@ -223,10 +214,6 @@ class Automorphism:
     def apply_set(self, S):
         return tuple(sorted(int(self.perm[g]) for g in S))
 
-    def compose(self, other: "Automorphism") -> "Automorphism":
-        """self after other."""
-        return Automorphism(self.group, self.perm[other.perm])
-
     def order(self) -> int:
         n = 1
         cur = self.perm
@@ -235,10 +222,6 @@ class Automorphism:
             cur = self.perm[cur]
             n += 1
         return n
-
-
-def identity_automorphism(G: FiniteGroup) -> Automorphism:
-    return Automorphism(G, np.arange(G.order))
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +324,7 @@ def quaternion8() -> FiniteGroup:
 
 
 # ---------------------------------------------------------------------------
-# subgroups, cosets, transversals
+# center and transversals
 
 
 def center(G: FiniteGroup) -> Subgroup:
@@ -349,25 +332,6 @@ def center(G: FiniteGroup) -> Subgroup:
     members = [g for g in range(G.order)
                if np.array_equal(t[g], t[:, g])]
     return Subgroup(G, tuple(members))
-
-
-def is_normal(G: FiniteGroup, H: Subgroup) -> bool:
-    mem = set(H.members)
-    return all(G.conj(g, h) in mem for g in range(G.order) for h in H.members)
-
-
-def right_cosets(G: FiniteGroup, H: Subgroup):
-    """Partition of G into right cosets Hg, each sorted."""
-    seen = set()
-    out = []
-    t = G.table
-    for g in range(G.order):
-        if g in seen:
-            continue
-        coset = tuple(sorted(int(t[h, g]) for h in H.members))
-        seen.update(coset)
-        out.append(coset)
-    return out
 
 
 def is_transversal(G: FiniteGroup, H: Subgroup, X):
@@ -407,30 +371,6 @@ def automorphism_from_images(G: FiniteGroup, images: dict) -> Automorphism:
     if (perm < 0).any():
         raise GroupError("given elements do not generate G")
     return Automorphism(G, perm)
-
-
-def generated_perm_group(autos):
-    """All permutations in the group generated by the given automorphisms."""
-    if not autos:
-        return [np.arange(0)]
-    v = autos[0].group.order
-    ident = tuple(range(v))
-    seen = {ident}
-    frontier = [np.arange(v)]
-    out = [np.arange(v)]
-    gens = [a.perm for a in autos]
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            for gperm in gens:
-                new = gperm[cur]
-                key = tuple(new.tolist())
-                if key not in seen:
-                    seen.add(key)
-                    out.append(new)
-                    nxt.append(new)
-        frontier = nxt
-    return out
 
 
 def orbits(G: FiniteGroup, autos):
@@ -486,11 +426,11 @@ def central_product(G1: FiniteGroup, G2: FiniteGroup,
     Z_i must be central in G_i and theta an isomorphism Z1 -> Z2
     (default: match elements in enumeration order, then verify).
     """
-    c1, c2 = center(G1), center(G2)
-    if not set(Z1.members) <= set(c1.members):
-        raise GroupError("Z1 is not central in G1")
-    if not set(Z2.members) <= set(c2.members):
-        raise GroupError("Z2 is not central in G2")
+    # z is central iff its row of the table equals its column
+    for i, Gi, Zi in ((1, G1, Z1), (2, G2, Z2)):
+        zs = list(Zi.members)
+        if not np.array_equal(Gi.table[zs], Gi.table[:, zs].T):
+            raise GroupError(f"Z{i} is not central in G{i}")
     if len(Z1) != len(Z2):
         raise GroupError("central subgroups have different orders")
     if theta is None:

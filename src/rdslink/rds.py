@@ -125,7 +125,8 @@ def verify_rds(G: FiniteGroup, X, N: Subgroup) -> RdsCertificate:
     k = len(X)
     if N.group is not G:
         raise RdsError("forbidden subgroup belongs to a different group")
-    d = (x * x.involution()).vec
+    xx = x * x.involution()
+    d = xx.vec.copy()
     if d[0] != k:
         raise EquationFails(
             f"coefficient at identity is {int(d[0])}, expected {k}",
@@ -154,21 +155,22 @@ def verify_rds(G: FiniteGroup, X, N: Subgroup) -> RdsCertificate:
     if semiregular and not is_transversal(G, N, X)[1]:
         raise LemmaViolation("k = m but X is not a right transversal")
     reversible = (X == tuple(sorted(int(G.inv[g]) for g in X)))
-    icom = is_icommuting(G, X, N)
+    icom = is_icommuting(x, xx, N)
     return RdsCertificate(G, X, N, m, n, k, lam, semiregular, reversible,
                           icom)
 
 
-def is_icommuting(G: FiniteGroup, X, N: Subgroup) -> bool:
-    """Dual-checked: X.X^(-1) = X^(-1).X must agree with X.N_ = N_.X."""
-    x = GroupRingElement.indicator(G, X)
-    nn = GroupRingElement.indicator(G, N.members)
-    xi = x.involution()
-    by_product = (x * xi == xi * x)
+def is_icommuting(x: GroupRingElement, xx: GroupRingElement,
+                  N: Subgroup) -> bool:
+    """Dual-checked for the indicator x of X and xx = X.X^(-1):
+    X.X^(-1) = X^(-1).X must agree with X.N_ = N_.X."""
+    nn = GroupRingElement.indicator(x.group, N.members)
+    by_product = (xx == x.involution() * x)
     by_subgroup = (x * nn == nn * x)
     if by_product != by_subgroup:
         raise LemmaViolation(
-            f"i-commuting criteria disagree on X={X}, N={N.members}")
+            f"i-commuting criteria disagree on X={x.support()}, "
+            f"N={N.members}")
     return by_product
 
 
@@ -188,15 +190,6 @@ def certify_rds(G: FiniteGroup, X) -> RdsCertificate:
             f"e plus the zero set of X.X^(-1) is not a subgroup: {exc}"
         ) from exc
     return verify_rds(G, X, N)
-
-
-def find_forbidden(G: FiniteGroup, X):
-    """[N] for the subgroup N with verify_rds(G, X, N) passing, or [];
-    no second N can pass (see certify_rds)."""
-    try:
-        return [certify_rds(G, X).N]
-    except RdsError:
-        return []
 
 
 def verify_pds(G: FiniteGroup, S) -> PdsCertificate:
@@ -239,7 +232,7 @@ def rds_to_pds(G: FiniteGroup, X, N: Subgroup):
 
 def _factor_rds(G: FiniteGroup, emb, X, N: Subgroup):
     """Certify X as a semiregular RDS of the embedded factor emb(H) <= G
-    relative to N <= emb(H); returns (emb(X), lambda).
+    relative to N <= emb(H); returns emb(X) and the factor's certificate.
 
     H's table is G's restricted to the image of emb and relabelled
     through the inverse of emb."""
@@ -256,7 +249,7 @@ def _factor_rds(G: FiniteGroup, emb, X, N: Subgroup):
     cert = verify_rds(H, X, Subgroup(H, tuple(pre[list(N.members)].tolist())))
     if not cert.semiregular:
         raise RdsError("factor RDS is not semiregular")
-    return tuple(emb[list(cert.X)].tolist()), cert.lam
+    return tuple(emb[list(cert.X)].tolist()), cert
 
 
 def rds_product(G: FiniteGroup, emb1, emb2, X1, X2):
@@ -276,10 +269,12 @@ def rds_product(G: FiniteGroup, emb1, emb2, X1, X2):
     prod_all = {int(t[a, b]) for a in img1 for b in img2}
     if len(prod_all) != G.order:
         raise RdsError("G is not the product of the embedded factors")
-    X1img, lam1 = _factor_rds(G, emb1, X1, N)
-    X2img, lam2 = _factor_rds(G, emb2, X2, N)
-    if not is_icommuting(G, X1img, N):
+    X1img, cert1 = _factor_rds(G, emb1, X1, N)
+    X2img, cert2 = _factor_rds(G, emb2, X2, N)
+    # i-commuting is an identity in Z[H], which the embedding preserves
+    if not cert1.i_commuting:
         raise RdsError("X1 must be i-commuting")
+    lam1, lam2 = cert1.lam, cert2.lam
     prods = [int(t[a, b]) for a in X1img for b in X2img]
     if len(set(prods)) != len(prods):
         raise RdsError("collision in products; preconditions violated")

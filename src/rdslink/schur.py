@@ -51,10 +51,6 @@ class SchurPartition:
     def rank(self):
         return len(self.classes)
 
-    def inverse_class(self, i: int) -> int:
-        g = self.classes[i][0]
-        return int(self.class_of[int(self.group.inv[g])])
-
     def class_sizes(self):
         return [len(c) for c in self.classes]
 

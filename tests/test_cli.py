@@ -214,6 +214,8 @@ BUNDLE_DIGESTS = {
         "2dec87154131a4463ee08793b988e324e15a461a6b09e2218f67c79db4f1a437",
     "construct q8-2r --r 2":
         "f6d41222b27f36d8a0441a0cfe426752e1795de87e8a3c47211ba731c192ca09",
+    "construct q8-2r --r 3":
+        "3b848d5150c455155fb043e8005ba7bd1376152977259640e039cedebb53f51b",
     "construct dps --n 4 --t 4 --s 4":
         "e8ebd0ef050bc94701d470cfee7b8004de6079d8da0d04ff5ffe2fbd0d3cb904",
     "construct dps --n 9 --t 3 --s 3":

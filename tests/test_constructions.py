@@ -1,8 +1,9 @@
+import numpy as np
 import pytest
 
 from rdslink import constructions
 from rdslink.ff import field_make
-from rdslink.groups import center, is_normal, is_transversal
+from rdslink.groups import center, is_transversal
 from rdslink.linked import LinkedError, verify_linked
 from rdslink.constructions import (ConstructionError, dps_system, endo_space,
                                    extraspecial_rds, heisenberg_system,
@@ -90,6 +91,39 @@ def test_extraspecial_provenance(es3):
     assert es3.partition.rank == 9  # 3p
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_frobenius_group_order_matches_closure(p, es3):
+    # extraspecial_rds reads |<sigma, tau>| = p(p-1) off one conjugation;
+    # list the group by closure instead
+    es = es3 if p == 3 else extraspecial_rds(p)
+    gens = [es.sigma.perm, es.tau.perm]
+    seen = {tuple(range(es.group.order))}
+    frontier = [np.arange(es.group.order)]
+    while frontier:
+        new = [g[cur] for cur in frontier for g in gens]
+        frontier = [x for x in new if tuple(x) not in seen]
+        seen.update(tuple(x) for x in frontier)
+    assert len(seen) == p * (p - 1)
+
+
+def test_extraspecial_rejects_tau_off_the_frobenius_relation(monkeypatch):
+    # for p = 5, tau: x -> x^(xi^3) still has order p - 1, but it
+    # conjugates sigma to sigma^(eta^3), not sigma^eta
+    p, p2 = 5, 25
+    xi = pow(constructions._least_primitive_root_mod_p2(p), p, p2)
+    real = constructions.automorphism_from_images
+
+    def skewed(G, images):
+        x_idx = G.index[(1, 0)]
+        if images[x_idx] == G.index[(xi, 0)]:
+            images = {**images, x_idx: G.index[(pow(xi, 3, p2), 0)]}
+        return real(G, images)
+
+    monkeypatch.setattr(constructions, "automorphism_from_images", skewed)
+    with pytest.raises(ConstructionError, match="tau sigma tau"):
+        extraspecial_rds(p)
+
+
 def test_extraspecial_certificates(es3):
     p = es3.p
     for cy, cz in zip(es3.Y_certs, es3.Z_certs):
@@ -101,8 +135,11 @@ def test_extraspecial_certificates(es3):
 
 
 def test_extraspecial_nonnormal_forbidden(es3):
-    assert not is_normal(es3.group, es3.Y)
-    assert is_normal(es3.group, es3.Z)
+    G = es3.group
+    for H, normal in ((es3.Y, False), (es3.Z, True)):
+        # g h g^-1 for every g (rows) and h in H (columns)
+        conjugates = G.table[G.table[:, H.members], G.inv[:, None]]
+        assert np.isin(conjugates, H.members).all() == normal
 
 
 def test_extraspecial_sigma_i_moves_x0(es3):

@@ -14,7 +14,7 @@ from rdslink.groupring import GroupRingElement, GroupRingError
 def test_indicator_and_basics():
     G = cyclic(4)
     a = GroupRingElement.indicator(G, [0, 1])
-    assert a.coeff_sum() == 2
+    assert a.vec.sum() == 2
     assert a.support() == (0, 1)
     assert a[0] == 1 and a[2] == 0
     with pytest.raises(GroupRingError):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,8 @@ from rdslink.groups import (Automorphism, FiniteGroup, GroupError, Subgroup,
                             automorphism_from_images, center,
                             central_product, cyclic, direct_product,
                             elementary_abelian, extraspecial_mp3,
-                            generated_perm_group, heisenberg,
-                            identity_automorphism, is_normal, is_transversal,
-                            orbits, quaternion8, right_cosets)
+                            heisenberg, is_transversal, orbits, quaternion8)
+from rdslink.rds import dev
 
 
 def test_cyclic():
@@ -92,17 +93,17 @@ def test_extraspecial_mp3():
     assert Z.members == tuple(sorted(G.index[(3 * c, 0)] for c in range(3)))
     # y x y^-1 = x^(1+p)
     x, y = G.index[(1, 0)], G.index[(0, 1)]
-    assert G.conj(y, x) == G.index[(4, 0)]
+    assert G.mul(G.mul(y, x), int(G.inv[y])) == G.index[(4, 0)]
 
 
 def test_quaternion8():
     G = quaternion8()
     assert G.order == 8
-    assert G.order_multiset() == {1: 1, 2: 1, 4: 6}
+    assert Counter(G.element_orders()) == {1: 1, 2: 1, 4: 6}
     a, b = G.index[(1, 0)], G.index[(0, 1)]
     # b^2 = a^2 and b a b^-1 = a^-1
     assert G.mul(b, b) == G.index[(2, 0)]
-    assert G.conj(b, a) == G.index[(3, 0)]
+    assert G.mul(G.mul(b, a), int(G.inv[b])) == G.index[(3, 0)]
 
 
 def test_subgroup_validation():
@@ -117,8 +118,8 @@ def test_subgroup_validation():
 def test_subgroup_closure_and_cosets():
     G = cyclic(12)
     H = Subgroup(G, (0, 4, 8))
-    cosets = right_cosets(G, H)
-    assert len(cosets) == 4
+    cosets = dev(G, H.members)  # the right cosets Hg
+    assert cosets == [(0, 4, 8), (1, 5, 9), (2, 6, 10), (3, 7, 11)]
     assert sorted(g for c in cosets for g in c) == list(range(12))
 
 
@@ -138,6 +139,10 @@ def test_automorphism_validation():
         Automorphism(G, np.array([0, 2, 1, 3, 4]))  # not a homomorphism
     with pytest.raises(GroupError):
         Automorphism(G, np.array([1, 0, 2, 3, 4]))  # moves identity
+    with pytest.raises(GroupError, match="permutation"):
+        Automorphism(cyclic(3), [0, 1, 7])  # image out of range
+    with pytest.raises(GroupError, match="permutation"):
+        Automorphism(cyclic(3), [0, 1, 2.5])  # not an integer
 
 
 def test_automorphism_from_images():
@@ -149,20 +154,15 @@ def test_automorphism_from_images():
         automorphism_from_images(cyclic(6), {2: 2})  # 2 does not generate
 
 
-def test_generated_perm_group():
-    G = cyclic(5)
-    a = automorphism_from_images(G, {1: 2})
-    assert len(generated_perm_group([a])) == 4
-    assert len(generated_perm_group([identity_automorphism(G)])) == 1
-
-
 def test_is_normal():
     G = quaternion8()
     # 1, Z = <a^2>, <a>, <b>, <ab>, Q8 (indices: a^i b^j -> 4j + i)
     subs = [(0,), (0, 2), (0, 1, 2, 3), (0, 2, 4, 6), (0, 2, 5, 7),
             tuple(range(8))]
     for members in subs:
-        assert is_normal(G, Subgroup(G, members))  # every one is normal
+        # g h g^-1 for every g (rows) and h in H (columns)
+        conjugates = G.table[G.table[:, members], G.inv[:, None]]
+        assert np.isin(conjugates, members).all()  # every one is normal
 
 
 def test_central_product_q8_q8():
@@ -186,5 +186,18 @@ def test_central_product_q8_q8():
 def test_central_product_rejects_noncentral():
     G1 = quaternion8()
     H = Subgroup(G1, (0, 1, 2, 3))  # <a> is not central
-    with pytest.raises(GroupError):
+    with pytest.raises(GroupError, match="Z1 is not central in G1"):
         central_product(G1, G1, H, H)
+    with pytest.raises(GroupError, match="Z2 is not central in G2"):
+        central_product(G1, G1, center(G1), H)
+
+
+@pytest.mark.parametrize("theta, message", [
+    ({0: 0, 1: 2, 2: 1, 3: 3}, "theta is not an isomorphism"),
+    ({0: 0, 1: 1, 2: 2, 3: 2}, "theta is not a bijection"),
+])
+def test_central_product_audits_theta(theta, message):
+    C4 = cyclic(4)
+    Z = Subgroup(C4, (0, 1, 2, 3))
+    with pytest.raises(GroupError, match=message):
+        central_product(C4, C4, Z, Z, theta=theta)

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from rdslink.ff import field_make
-from rdslink.groupring import GroupRingError
+from rdslink.groupring import GroupRingElement, GroupRingError
 from rdslink.groups import (Subgroup, center, cyclic, direct_product,
-                            heisenberg, right_cosets)
+                            heisenberg)
 from rdslink.rds import (EquationFails, IntersectionArray, LambdaNotPositive,
                          RdsError, WrongDiameter, cayley_adjacency,
-                         certify_drg3, certify_rds, dev, find_forbidden,
-                         is_icommuting, rds_product, rds_to_pds,
+                         certify_drg3, certify_rds, dev, is_icommuting,
+                         rds_product, rds_to_pds,
                          symplectic_standard, thas_somma, verify_pds,
                          verify_rds)
 
@@ -48,8 +48,7 @@ def test_lambda_not_positive():
 
 def test_find_forbidden():
     G = cyclic(4)
-    found = find_forbidden(G, (0, 1))
-    assert any(N.members == (0, 2) for N in found)
+    assert certify_rds(G, (0, 1)).N.members == (0, 2)
 
 
 def test_find_forbidden_above_old_scan_cap():
@@ -57,9 +56,9 @@ def test_find_forbidden_above_old_scan_cap():
     # once for each d != 0 and misses {0} x C47^#
     G = direct_product(cyclic(47), cyclic(47))
     X = [x * 47 + x * x % 47 for x in range(47)]
-    found = find_forbidden(G, X)
-    assert [N.members for N in found] == [tuple(range(47))]
-    assert verify_rds(G, X, found[0]).parameters == (47, 47, 47, 1)
+    cert = certify_rds(G, X)
+    assert cert.N.members == tuple(range(47))
+    assert cert.parameters == (47, 47, 47, 1)
 
 
 def test_certify_rds_zero_set_not_subgroup():
@@ -67,7 +66,6 @@ def test_certify_rds_zero_set_not_subgroup():
     # subgroup
     with pytest.raises(RdsError, match="not a subgroup"):
         certify_rds(cyclic(8), (0, 1))
-    assert find_forbidden(cyclic(8), (0, 1)) == []
 
 
 def _single_swaps(G, X):
@@ -107,7 +105,8 @@ def test_q8_swaps_within_a_coset_verify(q8cert):
 def test_icommuting_dual_criteria_abelian():
     G = cyclic(6)
     N = Subgroup(G, (0, 3))
-    assert is_icommuting(G, (0, 1), N)
+    x = GroupRingElement.indicator(G, (0, 1))
+    assert is_icommuting(x, x * x.involution(), N)
 
 
 def test_verify_pds_paley():
@@ -223,6 +222,6 @@ def test_heisenberg_rds_manual():
     assert cert.parameters == (9, 3, 9, 3)
     assert cert.reversible and cert.semiregular and cert.i_commuting
     # cross-check transversality with cosets
-    cosets = right_cosets(G, Z)
+    cosets = dev(G, Z.members)  # the right cosets Zg
     for c in cosets:
         assert len(set(c) & X) == 1

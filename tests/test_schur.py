@@ -12,7 +12,7 @@ def test_partition_axioms():
     G = cyclic(4)
     P = SchurPartition(G, [(0,), (2,), (1, 3)])
     assert P.rank == 3
-    assert P.inverse_class(2) == 2
+    assert P.class_of[G.inv[P.classes[2][0]]] == 2  # {1, 3}^(-1) = {1, 3}
     with pytest.raises(SRingError):
         SchurPartition(G, [(0,), (1,), (2, 3)])  # {1}^(-1) = {3}: not a class
     with pytest.raises(SRingError):
