@@ -204,6 +204,8 @@ def cmd_verify(args):
                          "forbidden": args.forbidden}}
     try:
         G = _load_group(args.group)
+        report["group"] = {"order": G.order, "audit": "light",
+                           "generators": G.gens}
         sets = _load_sets(args.sets)
         if args.kind == "rds":
             cert = verify_rds(G, sets[0], _forbidden(G, args, sets[0]))

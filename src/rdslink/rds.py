@@ -244,8 +244,7 @@ def _factor_rds(G: FiniteGroup, emb, X, N: Subgroup):
     table = pre[G.table[np.ix_(emb, emb)]]
     if (table < 0).any():
         raise RdsError("factor product escapes the embedded subgroup")
-    # a closed subset of a group holding e is a subgroup: no audit needed
-    H = FiniteGroup(table, name=f"{G.name}[factor]", audit=False)
+    H = FiniteGroup(table, name=f"{G.name}[factor]")
     cert = verify_rds(H, X, Subgroup(H, tuple(pre[list(N.members)].tolist())))
     if not cert.semiregular:
         raise RdsError("factor RDS is not semiregular")

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from rdslink.cli import main
+from rdslink.groups import elementary_abelian, quaternion8
 from rdslink.rds import RdsError
 
 
@@ -289,3 +290,42 @@ def test_verify_rejects_non_integer_set_entries(tmp_path, perturb, where):
     assert r["ok"] is False
     assert r["error"].startswith("GroupError:")
     assert where in r["error"]
+
+
+def test_verify_rejects_one_row_swap_in_c3_7(tmp_path):
+    # order 2187: a sampled associativity audit accepted this table
+    t = elementary_abelian(3, 7).table.copy()
+    t[1, [1, 2]] = t[1, [2, 1]]
+    gfile = tmp_path / "g.json"
+    gfile.write_text(json.dumps({"order": 2187,
+                                 "table": t.reshape(-1).tolist()}))
+    sets = tmp_path / "set.json"
+    sets.write_text(json.dumps({"set": [0, 1, 2]}))
+    report = tmp_path / "rep.json"
+    assert run(["verify", "pds", "--group", str(gfile), "--sets",
+                str(sets), "--out", str(report)]) == 1
+    r = load(report)
+    assert r["ok"] is False
+    assert r["error"].startswith("GroupError: associativity fails at a=")
+
+
+def test_verify_reports_the_audit(bundles, tmp_path):
+    report = tmp_path / "rep.json"
+    bundle = str(bundles / "linked.json")
+    assert run(["verify", "linked", "--group", bundle, "--sets", bundle,
+                "--out", str(report)]) == 0
+    group = load(report)["group"]
+    assert group == {"order": 8, "audit": "light",
+                     "generators": quaternion8().gens}
+
+
+def test_verify_rejects_forbidden_out_of_range(bundles, tmp_path):
+    forbidden = tmp_path / "forbidden.json"
+    forbidden.write_text(json.dumps([0, 99]))
+    report = tmp_path / "rep.json"
+    bundle = str(bundles / "linked.json")
+    assert run(["verify", "linked", "--group", bundle, "--sets", bundle,
+                "--forbidden", str(forbidden), "--out", str(report)]) == 1
+    r = load(report)
+    assert r["ok"] is False
+    assert r["error"].startswith("GroupError: subgroup member 99 is not")

@@ -1,10 +1,15 @@
+import itertools
+import math
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from rdslink.ff import field_make
-from rdslink.groups import (Automorphism, FiniteGroup, GroupError, Subgroup,
+from rdslink.groups import (TABLE_BYTES, Automorphism, FiniteGroup,
+                            GroupError, Subgroup,
                             automorphism_from_images, center,
                             central_product, cyclic, direct_product,
                             elementary_abelian, extraspecial_mp3,
@@ -15,6 +20,7 @@ from rdslink.rds import dev
 def test_cyclic():
     G = cyclic(6)
     assert G.order == 6
+    assert G.table.dtype == np.int32
     assert G.element_orders() == [1, 6, 3, 2, 3, 6]
     assert G.is_abelian()
     assert G.exponent() == 6
@@ -52,6 +58,153 @@ def test_audit_rejects_shifted_identity():
 def test_audit_rejects_non_integer_entry():
     with pytest.raises(GroupError, match=r"0\.9 at \(1, 1\)"):
         FiniteGroup([[0, 1], [1, 0.9]])
+
+
+@pytest.mark.parametrize("table", [
+    [[0, 1], [1, 2 ** 32]], [[0, 1], [1, -2 ** 32]], [[0, 1], [1, 2 ** 70]],
+    np.array([[0, 1], [1, 2 ** 32]], dtype=np.int64),
+    np.array([[0, 1], [1, 2 ** 32]], dtype=np.uint64)])
+def test_audit_range_checks_before_narrowing(table):
+    # 2**32 would wrap to 0 in int32 and make a valid C2 table
+    with pytest.raises(GroupError, match="out of range"):
+        FiniteGroup(table)
+
+
+def test_audit_rejects_one_row_swap_in_c3_7():
+    # order 2187: sampled associativity triples missed this swap
+    t = elementary_abelian(3, 7).table.copy()
+    t[1, [1, 2]] = t[1, [2, 1]]
+    with pytest.raises(GroupError, match="associativity fails at a="):
+        FiniteGroup(t)
+
+
+def test_audit_rejects_nonassociative_loop():
+    # identity 0, a right inverse in every row, and Latin, but
+    # (1 1) 2 = 2 while 1 (1 2) = 1 3 = 4
+    loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+            [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    with pytest.raises(GroupError, match="associativity fails at a="):
+        FiniteGroup(loop)
+
+
+def _associative(t):
+    """Brute force over all v^3 triples: (x y) z == x (y z)."""
+    return np.array_equal(t[t], t[:, t])
+
+
+@pytest.mark.parametrize("make", [quaternion8,
+                                  lambda: elementary_abelian(2, 3),
+                                  lambda: extraspecial_mp3(3)],
+                         ids=["Q8", "C2^3", "M27"])
+def test_light_agrees_with_brute_force_on_every_row_swap(make):
+    base = make().table
+    v = len(base)
+    assert _associative(base)
+    for row in range(1, v):
+        for c1, c2 in itertools.combinations(range(1, v), 2):
+            t = base.copy()
+            t[row, [c1, c2]] = t[row, [c2, c1]]
+            try:
+                FiniteGroup(t)
+                accepted = True
+            except GroupError as exc:
+                assert "associativity" in str(exc)
+                accepted = False
+            assert accepted == _associative(t), (row, c1, c2)
+
+
+def _generated(G, gens):
+    reached = {0}
+    frontier = [0]
+    while frontier:
+        frontier = [G.mul(g, s) for g in frontier for s in gens
+                    if G.mul(g, s) not in reached]
+        reached.update(frontier)
+    return reached
+
+
+def _central_square(make):
+    G = make()
+    return central_product(G, G, center(G), center(G)).group
+
+
+CONSTRUCTORS = {
+    "C1": lambda: cyclic(1),
+    "C12": lambda: cyclic(12),
+    "C2^5": lambda: elementary_abelian(2, 5),
+    "C5^2": lambda: elementary_abelian(5, 2),
+    "Heis(3)": lambda: heisenberg(field_make(3), 1),
+    "Heis(9)": lambda: heisenberg(field_make(3, 2), 1),
+    "Heis(3,2)": lambda: heisenberg(field_make(3), 2),
+    "M125": lambda: extraspecial_mp3(5),
+    "Q8": quaternion8,
+    "Q8xC3": lambda: direct_product(quaternion8(), cyclic(3)),
+    "C4xC2^2": lambda: direct_product(cyclic(4), elementary_abelian(2, 2)),
+    "Q8*Q8": lambda: _central_square(quaternion8),
+    "Heis(3)*Heis(3)": lambda: _central_square(
+        lambda: heisenberg(field_make(3), 1)),
+}
+
+
+@pytest.mark.parametrize("name", list(CONSTRUCTORS))
+def test_gens_generate_and_are_few(name):
+    G = CONSTRUCTORS[name]()
+    assert len(G.gens) <= math.log2(G.order)
+    assert _generated(G, G.gens) == set(range(G.order))
+    # z is central iff its whole row of the table equals its column
+    t = G.table
+    full = [g for g in range(G.order) if np.array_equal(t[g], t[:, g])]
+    assert center(G).members == tuple(full)
+
+
+def test_automorphism_witness_is_a_generator():
+    G = extraspecial_mp3(3)
+    perm = np.arange(G.order)
+    perm[[1, 2]] = perm[[2, 1]]  # fixes e, not a homomorphism
+    with pytest.raises(GroupError, match="not a homomorphism") as info:
+        Automorphism(G, perm)
+    g, s = map(int, str(info.value).split("(")[1].rstrip(")").split(","))
+    assert s in G.gens
+    assert perm[G.mul(g, s)] != G.mul(int(perm[g]), int(perm[s]))
+
+
+@pytest.mark.parametrize("make", [quaternion8, lambda: cyclic(5)],
+                         ids=["Q8", "C5"])
+def test_automorphism_agrees_with_all_pairs(make):
+    G = make()
+    t = G.table
+    for i, j in itertools.combinations(range(1, G.order), 2):
+        perm = np.arange(G.order)
+        perm[[i, j]] = perm[[j, i]]
+        try:
+            Automorphism(G, perm)
+            accepted = True
+        except GroupError:
+            accepted = False
+        assert accepted == np.array_equal(perm[t], t[np.ix_(perm, perm)])
+
+
+def test_table_budget_refuses_before_allocating():
+    # a missing check would allocate about 14 GB: cap the child's
+    # address space so that it fails fast instead
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+        "from rdslink.constructions import heisenberg_system_2r\n"
+        "from rdslink.ff import field_make\n"
+        "from rdslink.groups import GroupError\n"
+        "try:\n"
+        "    heisenberg_system_2r(field_make(3, 2), 2)\n"
+        "except GroupError as exc:\n"
+        "    print(exc)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120,
+                         env={"PYTHONPATH": ":".join(sys.path),
+                              "OPENBLAS_NUM_THREADS": "1"})
+    assert out.returncode == 0, out.stderr
+    need = 4 * 59049 ** 2
+    assert f"order 59049 needs a {need:,}-byte table" in out.stdout
+    assert need > TABLE_BYTES
 
 
 def test_from_elements_rejects_product_off_grid():
@@ -113,6 +266,12 @@ def test_subgroup_validation():
         Subgroup(G, (0, 2))  # not closed
     with pytest.raises(GroupError):
         Subgroup(G, (1, 5))  # no identity
+    with pytest.raises(GroupError, match="member -3 is not"):
+        Subgroup(G, (0, 3, -3))  # -3 would index as 3
+    with pytest.raises(GroupError, match="member 99 is not"):
+        Subgroup(G, (0, 99))
+    with pytest.raises(GroupError, match=r"not closed at \(2,2\)"):
+        Subgroup(G, (0, 2, 3))
 
 
 def test_subgroup_closure_and_cosets():
@@ -152,6 +311,14 @@ def test_automorphism_from_images():
     assert a.order() == 4
     with pytest.raises(GroupError):
         automorphism_from_images(cyclic(6), {2: 2})  # 2 does not generate
+    # M27: x^a y^b -> x^(2a) y^b respects y x y^-1 = x^4
+    M = extraspecial_mp3(3)
+    x, y = M.index[(1, 0)], M.index[(0, 1)]
+    phi = automorphism_from_images(M, {x: M.index[(2, 0)], y: y})
+    assert [phi(g) for g in range(27)] == [
+        M.index[(2 * a % 9, b)] for a, b in M.elements]
+    with pytest.raises(GroupError):
+        automorphism_from_images(M, {x: y, y: x})  # orders 9 and 3
 
 
 def test_is_normal():
