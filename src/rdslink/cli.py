@@ -18,7 +18,8 @@ import numpy as np
 
 from . import constructions as cons
 from .ff import field_make, is_prime
-from .groups import FiniteGroup, GroupError, Subgroup
+from .groups import (FiniteGroup, GroupError, Subgroup,
+                     check_integer_cells)
 from .linked import associated_group, munu_branches, verify_linked
 from .rds import (cayley_adjacency, certify_rds, dev, verify_pds,
                   verify_rds)
@@ -39,18 +40,66 @@ def _prime_power(q: int):
     return p, r
 
 
-def _dump(obj, out_path):
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def _write(out_path, chunks):
+    """Write the pieces of text to out_path, or to stdout without one."""
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
+
+
+def _holds_array(obj) -> bool:
+    return isinstance(obj, np.ndarray) or (
+        isinstance(obj, dict) and any(map(_holds_array, obj.values())))
+
+
+def _table_chunks(table: np.ndarray, pad: str):
+    """A Cayley table (entries 0..v-1) as json.dumps writes the list of
+    its entries, row-major, 64 rows to a piece."""
+    v = len(table)
+    words = np.array([str(i) for i in range(v)], dtype=object)
+    sep = "," + pad + "  "
+    yield "[" + pad + "  "
+    for start in range(0, v, 64):
+        if start:
+            yield sep
+        yield sep.join(words[table[start:start + 64].reshape(-1)].tolist())
+    yield pad + "]"
+
+
+def _json_chunks(obj, pad="\n"):
+    """The text of json.dumps(obj, sort_keys=True, indent=2) in pieces,
+    for obj nested where its lines start with pad.  A Cayley table held
+    as an array is streamed, so its v^2 entries never form one Python
+    list or string; the dicts around it are written key by key (their
+    keys are strings)."""
+    if isinstance(obj, np.ndarray):
+        yield from _table_chunks(obj, pad)
+    elif _holds_array(obj):
+        inner = pad + "  "
+        for i, (key, value) in enumerate(sorted(obj.items())):
+            yield ("," if i else "{") + inner + json.dumps(key) + ": "
+            yield from _json_chunks(value, inner)
+        yield pad + "}"
+    else:  # the encoder escapes every newline inside a string
+        yield json.dumps(obj, sort_keys=True, indent=2).replace("\n", pad)
+
+
+def _json_text(obj):
+    """json.dumps(obj, sort_keys=True, indent=2) and a newline, in
+    pieces."""
+    yield from _json_chunks(obj)
+    yield "\n"
+
+
+def _dump(obj, out_path):
+    _write(out_path, _json_text(obj))
 
 
 def _group_spec(G: FiniteGroup):
-    return {"name": G.name, "order": G.order,
-            "table": G.table.reshape(-1).tolist(), "labels": G.labels}
+    return {"name": G.name, "order": G.order, "table": G.table,
+            "labels": G.labels}
 
 
 def _labeled(G: FiniteGroup, S):
@@ -138,36 +187,35 @@ def cmd_construct(args):
 # verify
 
 
-def _load_json(path):
-    with open(path) as fh:
-        return json.load(fh)
-
-
-def _load_group(path) -> FiniteGroup:
-    """The group of a bundle or group file: order v and a flat table of
-    v^2 entries."""
-    spec = _load_json(path)
+def _load_group(path, spec) -> FiniteGroup:
+    """The group of a parsed bundle or group file: order v and a flat
+    table of v^2 entries.  The table list is taken out of spec, so it
+    is freed before the audit."""
     if isinstance(spec, dict) and "group" in spec:
         spec = spec["group"]
     for key in ("order", "table"):
         if not isinstance(spec, dict) or key not in spec:
             raise GroupError(f"{path}: the group has no {key!r}")
-    v, flat = spec["order"], spec["table"]
+    v, flat = spec["order"], spec.pop("table")
     if type(v) is not int or v < 1:
         raise GroupError(f"{path}: order {v!r} is not a positive integer")
     n = len(flat) if isinstance(flat, list) else 0
     if n != v * v:
         raise GroupError(f"{path}: order {v} needs {v * v} table entries, "
                          f"found {n}; position {min(n, v * v)} is wrong")
-    table = np.asarray(flat)
-    if table.dtype.kind not in "iu":  # keep each entry's own type
-        table = np.asarray(flat, dtype=object)
-    return FiniteGroup(table.reshape(v, v), labels=spec.get("labels"),
+    check_integer_cells(flat, (v, v))
+    try:
+        table = np.array(flat, dtype=np.int64).reshape(v, v)
+    except OverflowError:
+        raise GroupError(f"{path}: table entries out of range") from None
+    del flat
+    return FiniteGroup(table, labels=spec.get("labels"),
                        name=spec.get("name", "group"))
 
 
-def _load_sets(path):
-    data = _load_json(path)
+def _load_sets(path, data):
+    """The sets of a parsed file: a bundle's "sets" or "set", a
+    "classes" list, a list of sets, or one bare set."""
     if isinstance(data, dict):
         if "sets" in data:
             data = data["sets"]
@@ -177,38 +225,54 @@ def _load_sets(path):
             data = data["classes"]
     if not isinstance(data, list):
         raise GroupError(f"{path}: no list of sets")
-    if data and isinstance(data[0], dict):
-        data = [d["indices"] for d in data]
-    if data and not isinstance(data[0], list):
+    if not data:
+        raise GroupError(f"{path}: the list of sets is empty")
+    if not isinstance(data[0], (list, dict)):
         data = [data]
+    labeled = isinstance(data[0], dict)  # {"indices": [...], ...} entries
+    sets = []
     for i, s in enumerate(data):
+        if labeled:
+            if not isinstance(s, dict) or "indices" not in s:
+                raise GroupError(f"{path}: set {i} has no 'indices'")
+            s = s["indices"]
         if not isinstance(s, list):
             raise GroupError(f"{path}: set {i} is {s!r}, not a list")
         for pos, g in enumerate(s):
             if type(g) is not int:
                 raise GroupError(f"{path}: set {i} has {g!r} at position "
                                  f"{pos}, not an element index")
-    return data
-
-
-def _forbidden(G, args, X) -> Subgroup:
-    """The --forbidden subgroup, or else the one that X.X^(-1) fixes."""
-    if args.forbidden:
-        return Subgroup(G, tuple(_load_sets(args.forbidden)[0]))
-    return certify_rds(G, X).N
+        sets.append(s)
+    return sets
 
 
 def cmd_verify(args):
     report = {"command": "verify", "kind": args.kind,
               "inputs": {"group": args.group, "sets": args.sets,
                          "forbidden": args.forbidden}}
+    docs = {}  # each path parsed once per call, never across calls
+
+    def load(path):
+        if path not in docs:
+            with open(path) as fh:
+                docs[path] = json.load(fh)
+        return docs[path]
+
+    def forbidden(X) -> Subgroup:
+        """The --forbidden subgroup, or else the one that X.X^(-1)
+        fixes."""
+        if args.forbidden:
+            return Subgroup(G, tuple(
+                _load_sets(args.forbidden, load(args.forbidden))[0]))
+        return certify_rds(G, X).N
+
     try:
-        G = _load_group(args.group)
+        G = _load_group(args.group, load(args.group))
         report["group"] = {"order": G.order, "audit": "light",
                            "generators": G.gens}
-        sets = _load_sets(args.sets)
+        sets = _load_sets(args.sets, load(args.sets))
         if args.kind == "rds":
-            cert = verify_rds(G, sets[0], _forbidden(G, args, sets[0]))
+            cert = verify_rds(G, sets[0], forbidden(sets[0]))
             report["certificates"] = [cert.to_json()]
         elif args.kind == "pds":
             cert = verify_pds(G, sets[0])
@@ -222,7 +286,7 @@ def cmd_verify(args):
             report["certificates"] = [{"partition": P.to_json(),
                                        "tensor": sc.tensor.tolist()}]
         elif args.kind == "linked":
-            cert = verify_linked(G, _forbidden(G, args, sets[0]), sets)
+            cert = verify_linked(G, forbidden(sets[0]), sets)
             report["certificates"] = [cert.to_json()]
         report["ok"] = True
     except Exception as exc:
@@ -238,21 +302,20 @@ def cmd_verify(args):
 # export
 
 
-def _graph_text(adj, fmt):
+def _graph_chunks(adj, fmt):
     v = adj.shape[0]
     if fmt == "adjlist":
         lines = []
         for u in range(v):
             nbrs = " ".join(str(int(w)) for w in np.where(adj[u])[0])
             lines.append(f"{u}: {nbrs}")
-        return "\n".join(lines) + "\n"
+        return ["\n".join(lines) + "\n"]
     edges = np.argwhere(np.triu(adj, 1))  # u < w, sorted by u then w
     if fmt == "dimacs":
         lines = [f"p edge {v} {len(edges)}"]
         lines += [f"e {u} {w}" for u, w in (edges + 1).tolist()]
-        return "\n".join(lines) + "\n"
-    return json.dumps({"vertices": v, "edges": edges.tolist()},
-                      sort_keys=True, indent=2) + "\n"
+        return ["\n".join(lines) + "\n"]
+    return _json_text({"vertices": v, "edges": edges.tolist()})
 
 
 def cmd_export(args):
@@ -261,7 +324,7 @@ def cmd_export(args):
         hs = cons.heisenberg_system(field_make(p, r))
         S = hs.orbit_sets[0]  # X_0 minus the identity
         adj = cayley_adjacency(hs.group, S)
-        text = _graph_text(adj, args.format)
+        chunks = _graph_chunks(adj, args.format)
     elif args.what == "dev":
         if args.family == "q8":
             cert = cons.q8_system()
@@ -272,11 +335,10 @@ def cmd_export(args):
             G, X = hs.group, hs.sets[0]
         blocks = dev(G, X)
         if args.format == "json":
-            text = json.dumps({"blocks": [list(b) for b in blocks]},
-                              sort_keys=True, indent=2) + "\n"
+            chunks = _json_text({"blocks": [list(b) for b in blocks]})
         else:
-            text = "\n".join(" ".join(str(g) for g in b)
-                             for b in blocks) + "\n"
+            chunks = ["\n".join(" ".join(str(g) for g in b)
+                                for b in blocks) + "\n"]
     elif args.what == "ctensor":
         if args.family == "extraspecial":
             es = cons.extraspecial_rds(args.p)
@@ -285,17 +347,12 @@ def cmd_export(args):
             p, r = _prime_power(args.q)
             P = cons.heisenberg_system(field_make(p, r)).partition
         sc = verify_sring(P)
-        text = json.dumps({"classes": [list(c) for c in P.classes],
-                           "class_sizes": P.class_sizes(),
-                           "tensor": sc.tensor.tolist()},
-                          sort_keys=True, indent=2) + "\n"
+        chunks = _json_text({"classes": [list(c) for c in P.classes],
+                             "class_sizes": P.class_sizes(),
+                             "tensor": sc.tensor.tolist()})
     else:  # pragma: no cover
         raise ValueError(f"unknown export {args.what}")
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, chunks)
     return 0
 
 

@@ -84,17 +84,25 @@ def _audit_table(table: np.ndarray) -> list:
     return gens
 
 
+def check_integer_cells(cells: list, shape: tuple):
+    """Raise GroupError naming the first of cells (a table's entries,
+    row-major over shape) that is not an integer; a bool is not one."""
+    if {int}.issuperset(map(type, cells)):
+        return
+    for pos, x in enumerate(cells):
+        if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+            at = tuple(int(i) for i in np.unravel_index(pos, shape))
+            raise GroupError(f"table entry {x!r} at {at} is not an integer")
+
+
 def _integer_table(table) -> np.ndarray:
     """table as a square int32 array, range-checked before narrowing;
     GroupError names the first entry that is not an integer."""
     arr = np.asarray(table)
-    if arr.dtype.kind not in "iu":
-        arr = np.asarray(table, dtype=object)
-        for pos, x in enumerate(arr.reshape(-1).tolist()):
-            if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-                at = tuple(int(i) for i in np.unravel_index(pos, arr.shape))
-                raise GroupError(
-                    f"table entry {x!r} at {at} is not an integer")
+    if arr.dtype.kind not in "iu" or not isinstance(table, np.ndarray):
+        # numpy reads a True among a list's ints as 1: check each cell
+        cells = np.asarray(table, dtype=object)
+        check_integer_cells(cells.reshape(-1).tolist(), cells.shape)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not arr.size:
         raise GroupError("multiplication table must be square")
     if arr.min() < 0 or arr.max() >= len(arr):

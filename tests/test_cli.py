@@ -1,10 +1,14 @@
 import hashlib
 import json
+import tracemalloc
 
+import numpy as np
 import pytest
 
+from rdslink import cli
 from rdslink.cli import main
-from rdslink.groups import elementary_abelian, quaternion8
+from rdslink.groups import (FiniteGroup, cyclic, elementary_abelian,
+                            quaternion8)
 from rdslink.rds import RdsError
 
 
@@ -200,8 +204,11 @@ def test_verify_perturbed_without_forbidden(bundles, tmp_path, kind):
 
 
 # sha256 of each command's output, pinned when every table was still
-# built cell by cell: the array-native construction layer must write
-# the same bytes.  q = 9 and n = 9 cover extension fields.
+# built cell by cell and every bundle went through json.dumps whole: the
+# array-native construction layer and the streamed table writer must
+# write the same bytes.  q = 9 and n = 9 cover extension fields; thm12
+# at r = 3 (v = 2187, 4.8 M table entries) and q8-2r at r = 4 are the
+# bundles of the benchmark's bundle workload.
 BUNDLE_DIGESTS = {
     "construct heisenberg --q 3":
         "291c9528c091c8890d34da3a8350e1eee55ecc57a902d61bde2051c0d6a069ca",
@@ -223,6 +230,10 @@ BUNDLE_DIGESTS = {
         "9f4652646ec54f802cc10b8c610a1ef5d140862fc975f0197dd46f8f2c2d6eb3",
     "construct thm12 --p 3 --r 2":
         "f5a71947f0c2032c6144489a87f1bb020d2c758deef473a7e51dccf529025020",
+    "construct thm12 --p 3 --r 3":
+        "9b404c467160ed3014a95106e236d2edcd7e22bd6789aaa4a2669a47d90424d0",
+    "construct q8-2r --r 4":
+        "1d436586cae033f79904b426d98828f3dffbd7853ed5c9d949e0252335cdd62c",
     "export graph --q 3 --format dimacs":
         "c0978f353b9302188ec83cfed80282ec1ac664bd9d447054a5352f07986dda72",
     "export graph --q 3 --format adjlist":
@@ -252,6 +263,8 @@ def test_bundle_digests(tmp_path, command):
     ({"order": 2, "table": [0, 1, 1, 0.9]}, "at (1, 1)"),
     ({"order": 3, "table": [0, 1, 2, 1, 2, 0, 2, 0]}, "position 8"),
     ({"table": [0, 1, 1, 0]}, "'order'"),
+    ({"order": 2, "table": [0, True, True, 0]}, "True at (0, 1)"),
+    ({"order": 2, "table": [0, 1, 1, 2 ** 70]}, "out of range"),
 ])
 def test_verify_rejects_malformed_table(tmp_path, group, where):
     gfile = tmp_path / "g.json"
@@ -329,3 +342,138 @@ def test_verify_rejects_forbidden_out_of_range(bundles, tmp_path):
     r = load(report)
     assert r["ok"] is False
     assert r["error"].startswith("GroupError: subgroup member 99 is not")
+
+
+def _listed(obj):
+    """obj with every array in it (a bundle's table) as its flat list."""
+    if isinstance(obj, np.ndarray):
+        return obj.reshape(-1).tolist()
+    if isinstance(obj, dict):
+        return {key: _listed(value) for key, value in obj.items()}
+    return obj
+
+
+@pytest.mark.parametrize("command", [
+    "construct heisenberg --q 3", "construct heisenberg2r --q 3 --r 2",
+    "construct extraspecial --p 3", "construct q8",
+    "construct q8-2r --r 2", "construct dps --n 4 --t 4 --s 4",
+    "construct thm12 --p 3 --r 2"])
+def test_streamed_bundle_equals_json_dumps(tmp_path, capsys, monkeypatch,
+                                           command):
+    dumped = []
+
+    def record(obj, out_path):
+        dumped.append(obj)
+        return dump(obj, out_path)
+
+    dump = cli._dump
+    monkeypatch.setattr(cli, "_dump", record)
+    out = tmp_path / "out.json"
+    assert run(command.split() + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert run(command.split()) == 0
+    want = json.dumps(_listed(dumped[0]), sort_keys=True, indent=2) + "\n"
+    assert isinstance(dumped[0]["group"]["table"], np.ndarray)
+    assert out.read_text() == want
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("group", [
+    FiniteGroup([[0]]), cyclic(5), cyclic(64), cyclic(130)],
+    ids=["v=1", "v=5", "v=64", "v=130"])
+def test_streamed_table_with_awkward_labels(tmp_path, capsys, group):
+    # strings the encoder escapes, and text that looks like the table
+    odd = ['q"uote', "caf\u00e9 \u03c7", "nul\u0000", '"table": [',
+           "line\nbreak", "back\\slash", "{}", "]\n  },"]
+    group.labels = [odd[i % len(odd)] + str(i) for i in range(group.order)]
+    group.name = odd[3]
+    bundle = {"family": odd[0], "group": cli._group_spec(group),
+              "a": {"b": [odd[5], {}]}, "empty": {}, "zz": odd,
+              "nested": {"inner": {"table": group.table[:1, :1].copy(),
+                                   "x": odd[7]}}}
+    want = json.dumps(_listed(bundle), sort_keys=True, indent=2) + "\n"
+    out = tmp_path / "out.json"
+    cli._dump(bundle, str(out))
+    cli._dump(bundle, None)
+    assert out.read_text() == want
+    assert capsys.readouterr().out == want
+
+
+def test_streamed_table_is_never_one_list(tmp_path):
+    G = elementary_abelian(3, 7)  # 4.8 M entries: a list of them is 38 MB
+    bundle = {"group": cli._group_spec(G)}
+    out = tmp_path / "out.json"
+    tracemalloc.start()
+    try:
+        cli._dump(bundle, str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.stat().st_size > 50_000_000
+    assert peak < 16_000_000
+
+
+def test_verify_parses_each_file_once(bundles, tmp_path, monkeypatch):
+    bundle = str(bundles / "rds.json")
+    forbidden = tmp_path / "forbidden.json"
+    forbidden.write_text(json.dumps(load(bundle)["forbidden"]))
+    parsed = []
+    json_load = json.load
+
+    def counting(fh, **kwargs):
+        parsed.append(fh.name)
+        return json_load(fh, **kwargs)
+
+    monkeypatch.setattr(json, "load", counting)
+    report = tmp_path / "rep.json"
+    assert run(["verify", "rds", "--group", bundle, "--sets", bundle,
+                "--forbidden", str(forbidden), "--out", str(report)]) == 0
+    assert sorted(parsed) == sorted([bundle, str(forbidden)])
+    assert load(report)["ok"]
+
+
+def test_verify_rereads_a_rewritten_file(tmp_path):
+    bundle = tmp_path / "bundle.json"
+    report = tmp_path / "rep.json"
+    args = ["verify", "linked", "--group", str(bundle), "--sets",
+            str(bundle), "--out", str(report)]
+    assert run(["construct", "q8", "--out", str(bundle)]) == 0
+    assert run(args) == 0
+    assert load(report)["group"]["order"] == 8
+    assert run(["construct", "heisenberg", "--q", "3", "--out",
+                str(bundle)]) == 0
+    assert run(args) == 0
+    assert load(report)["group"]["order"] == 27
+    assert load(report)["certificates"][0]["m"] == 9
+
+
+@pytest.mark.parametrize("sets, where", [
+    ({"sets": [{"foo": [0]}]}, "set 0 has no 'indices'"),
+    ({"sets": [{"indices": [0, 1]}, [0, 2]]}, "set 1 has no 'indices'"),
+    ({"sets": [[0, 1], {"indices": [0, 2]}]},
+     "set 1 is {'indices': [0, 2]}, not a list"),
+    ({"sets": []}, "the list of sets is empty"),
+    ({"classes": "none"}, "no list of sets"),
+])
+def test_verify_rejects_malformed_sets(bundles, tmp_path, sets, where):
+    sets_file = tmp_path / "sets.json"
+    sets_file.write_text(json.dumps(sets))
+    report = tmp_path / "rep.json"
+    assert run(["verify", "linked", "--group", str(bundles / "linked.json"),
+                "--sets", str(sets_file), "--out", str(report)]) == 1
+    r = load(report)
+    assert r["ok"] is False
+    assert r["error"] == f"GroupError: {sets_file}: {where}"
+
+
+def test_verify_rejects_empty_forbidden(bundles, tmp_path):
+    forbidden = tmp_path / "forbidden.json"
+    forbidden.write_text("[]")
+    report = tmp_path / "rep.json"
+    bundle = str(bundles / "linked.json")
+    assert run(["verify", "linked", "--group", bundle, "--sets", bundle,
+                "--forbidden", str(forbidden), "--out", str(report)]) == 1
+    r = load(report)
+    assert r["ok"] is False
+    assert r["error"] == (f"GroupError: {forbidden}: the list of sets is "
+                          f"empty")

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -58,6 +59,16 @@ def test_audit_rejects_shifted_identity():
 def test_audit_rejects_non_integer_entry():
     with pytest.raises(GroupError, match=r"0\.9 at \(1, 1\)"):
         FiniteGroup([[0, 1], [1, 0.9]])
+
+
+@pytest.mark.parametrize("table, where", [
+    ([[0, True], [True, 0]], "True at (0, 1)"),
+    ([[0, 1], [1, False]], "False at (1, 1)"),
+    (np.array([[False, True], [True, False]]), "False at (0, 0)")])
+def test_audit_rejects_bool_entry(table, where):
+    # numpy reads [0, True] as an int array: the cells must be checked
+    with pytest.raises(GroupError, match=re.escape(where)):
+        FiniteGroup(table)
 
 
 @pytest.mark.parametrize("table", [
