@@ -318,7 +318,15 @@ def _graph_chunks(adj, fmt):
     return _json_text({"vertices": v, "edges": edges.tolist()})
 
 
+# the families each export builds
+_EXPORTS = {"graph": ("heisenberg",), "dev": ("heisenberg", "q8"),
+            "ctensor": ("heisenberg", "extraspecial")}
+
+
 def cmd_export(args):
+    if args.family not in _EXPORTS[args.what]:
+        raise ValueError(f"export {args.what} does not build "
+                         f"--family {args.family}")
     if args.what == "graph":
         p, r = _prime_power(args.q)
         hs = cons.heisenberg_system(field_make(p, r))

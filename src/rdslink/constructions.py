@@ -330,8 +330,8 @@ def q8_system() -> LinkedCertificate:
     """{X_1, X_2 = X_1^(-1)} in Q8 relative to the center."""
     G = quaternion8()
     e = G.index[(0, 0)]
-    a = G.index[(1, 0)]
-    b = G.index[(0, 1)]
+    a = G.index[(0, 1)]
+    b = G.index[(1, 0)]
     ba = G.mul(b, a)
     X1 = (e, a, b, ba)
     X2 = tuple(sorted(int(G.inv[g]) for g in X1))

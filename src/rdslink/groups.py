@@ -22,7 +22,7 @@ import numpy as np
 from .ff import Field, is_prime
 
 TABLE_BYTES = 1 << 31  # the largest int32 table a constructor will build
-_ROWS = 64  # table rows per block in the audit and in central_product
+_ROWS = 64  # table rows per block in from_elements and the audit
 
 
 class GroupError(ValueError):
@@ -139,33 +139,38 @@ class FiniteGroup:
         """Materialize a group from its elements and an array product rule.
 
         Each element is a tuple of integer coordinates (nested tuples
-        read flat, an int is one coordinate) and together they fill the
-        grid of coordinate ranges once; elements[0] must be the identity.
-        mul(g, h) gets every element's coordinates as arrays along
-        separate axes, g's on the first half and h's on the second, and
-        returns the product's coordinates: one broadcast evaluation
-        covers all v^2 pairs.
+        read flat, an int is one coordinate), listed in row-major order
+        of the grid of coordinate ranges, which they fill once; so the
+        i-th element has index i and elements[0] must be the identity.
+        The int32 table is filled _ROWS rows at a time: mul(g, h) gets
+        the block's g-coordinates as arrays along axis 0 and h's
+        coordinate i along axis i + 1, and returns the product's
+        coordinates, each range-checked and added in at its stride.
         """
         v = len(elements)
         _check_budget(v)
         coords = np.array([_flat(el) for el in elements], dtype=np.int64)
         shape = tuple(int(n) for n in coords.max(axis=0) + 1)
-        grid = np.ravel_multi_index(tuple(coords.T), shape)
-        if math.prod(shape) != v or np.unique(grid).size != v:
-            raise GroupError("elements must fill their coordinate grid once")
         k = len(shape)
-        axes = [np.arange(n).reshape((n,) + (1,) * (2 * k - 1 - i))
-                for i, n in enumerate(shape + shape)]
-        try:
-            prod = np.ravel_multi_index(
-                tuple(mul(tuple(axes[:k]), tuple(axes[k:]))), shape)
-        except ValueError as exc:
-            raise GroupError(f"product leaves the coordinate grid: {exc}")
-        table = prod.reshape(v, v)
-        if not np.array_equal(grid, np.arange(v)):  # listed off grid order
-            position = np.empty(v, dtype=np.int64)
-            position[grid] = np.arange(v)
-            table = position[table[np.ix_(grid, grid)]]
+        if math.prod(shape) != v or not np.array_equal(
+                coords, np.indices(shape).reshape(k, v).T):
+            raise GroupError("elements must fill their coordinate grid "
+                             "once, in row-major order")
+        # h's coordinate i on axis i + 1, the block's g-coordinates on 0
+        h = tuple(np.arange(n).reshape((n,) + (1,) * (k - 1 - i))
+                  for i, n in enumerate(shape))
+        strides = [math.prod(shape[i + 1:]) for i in range(k)]
+        table = np.zeros((v, v), dtype=np.int32)
+        for s in range(0, v, _ROWS):
+            g = tuple(c.reshape((-1,) + (1,) * k)
+                      for c in coords[s:s + _ROWS].T)
+            block = table[s:s + _ROWS].reshape((-1,) + shape)
+            for i, c in enumerate(mul(g, h)):
+                c, n = np.asarray(c), shape[i]
+                if c.dtype.kind not in "iu" or c.min() < 0 or c.max() >= n:
+                    raise GroupError("product leaves the coordinate grid: "
+                                     f"coordinate {i} outside 0..{n - 1}")
+                block += c.astype(np.int32, copy=False) * strides[i]
         labels = [(label or str)(el) for el in elements]
         return cls(table, labels=labels, name=name, elements=list(elements))
 
@@ -269,6 +274,7 @@ class Automorphism:
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise GroupError("order must be positive")
+    _check_budget(n)
     return FiniteGroup.from_elements(
         list(range(n)), lambda g, h: ((g[0] + h[0]) % n,), name=f"C{n}")
 
@@ -276,6 +282,7 @@ def cyclic(n: int) -> FiniteGroup:
 def elementary_abelian(p: int, k: int) -> FiniteGroup:
     if not is_prime(p):
         raise GroupError(f"{p} is not prime")
+    _check_budget(p ** k)
     els = list(itertools.product(range(p), repeat=k))
     return FiniteGroup.from_elements(
         els, lambda g, h: tuple((x + y) % p for x, y in zip(g, h)),
@@ -283,18 +290,14 @@ def elementary_abelian(p: int, k: int) -> FiniteGroup:
 
 
 def direct_product(G1: FiniteGroup, G2: FiniteGroup) -> FiniteGroup:
-    v1, v2 = G1.order, G2.order
-    _check_budget(v1 * v2)
+    """G1 x G2 on the pairs (a, b), with index a * |G2| + b."""
+    _check_budget(G1.order * G2.order)
     t1, t2 = G1.table, G2.table
-    # mixed-radix index (a1, a2) -> a1*v2 + a2
-    table = (t1[:, None, :, None] * v2 + t2[None, :, None, :]).reshape(
-        v1 * v2, v1 * v2)
-    labels = [f"({G1.labels[a]},{G2.labels[b]})"
-              for a in range(v1) for b in range(v2)]
-    G = FiniteGroup(table, labels=labels, name=f"{G1.name}x{G2.name}")
-    G.embed1 = np.arange(v1) * v2
-    G.embed2 = np.arange(v2)
-    return G
+    return FiniteGroup.from_elements(
+        list(itertools.product(range(G1.order), range(G2.order))),
+        lambda g, h: (t1[g[0], h[0]], t2[g[1], h[1]]),
+        name=f"{G1.name}x{G2.name}",
+        label=lambda e: f"({G1.labels[e[0]]},{G2.labels[e[1]]})")
 
 
 def heisenberg(F: Field, r: int = 1) -> FiniteGroup:
@@ -328,10 +331,9 @@ def extraspecial_mp3(p: int) -> FiniteGroup:
     """
     if not is_prime(p) or p == 2:
         raise GroupError("p must be an odd prime")
+    _check_budget(p ** 3)
     p2 = p * p
     els = [(a, b) for a in range(p2) for b in range(p)]
-    # identity (0,0) is first in this enumeration
-    els.sort()
 
     def mul(g, h):
         (a, b), (c, d) = g, h
@@ -345,18 +347,18 @@ def extraspecial_mp3(p: int) -> FiniteGroup:
 def quaternion8() -> FiniteGroup:
     """Q8 = <a, b : a^4 = e, a^2 = b^2, b a b^-1 = a^-1>.
 
-    Pairs (i, j) represent a^i b^j with i mod 4, j in {0, 1}.
+    Pairs (j, i) represent a^i b^j with j in {0, 1}, i mod 4, so a^i b^j
+    has index 4j + i.
     """
-    els = [(i, j) for j in range(2) for i in range(4)]
-    els.sort(key=lambda e: (e[1], e[0]))
+    els = [(j, i) for j in range(2) for i in range(4)]
 
     def mul(g, h):
-        (i, j), (k, l) = g, h
+        (j, i), (l, k) = g, h
         # b a^k = a^-k b, b^2 = a^2
-        return ((i + k - 2 * j * k + 2 * j * l) % 4, (j + l) % 2)
+        return ((j + l) % 2, (i + k - 2 * j * k + 2 * j * l) % 4)
 
     return FiniteGroup.from_elements(
-        els, mul, name="Q8", label=lambda e: f"a^{e[0]}b^{e[1]}")
+        els, mul, name="Q8", label=lambda e: f"a^{e[1]}b^{e[0]}")
 
 
 # ---------------------------------------------------------------------------
@@ -482,22 +484,20 @@ def central_product(G1: FiniteGroup, G2: FiniteGroup,
     reps = np.unique(rep_of)
     idx_of_pair = np.searchsorted(reps, rep_of)
 
+    # element i is the coset of the pair (a[i], b[i])
     a, b = np.divmod(reps, v2)
-    table = np.empty((v, v), dtype=np.int32)
-    for s in range(0, v, _ROWS):  # one row block of pair keys at a time
-        keys = t1[np.ix_(a[s:s + _ROWS], a)].astype(np.int64) * v2
-        table[s:s + _ROWS] = idx_of_pair[keys + t2[np.ix_(b[s:s + _ROWS], b)]]
-    labels = [f"[{G1.labels[r // v2]}.{G2.labels[r % v2]}]"
-              for r in reps.tolist()]
-    G = FiniteGroup(table, labels=labels,
-                    name=f"{G1.name}*{G2.name}")
+    G = FiniteGroup.from_elements(
+        range(v), lambda g, h: (idx_of_pair[t1[a[g[0]], a[h[0]]] * v2
+                                            + t2[b[g[0]], b[h[0]]]],),
+        name=f"{G1.name}*{G2.name}",
+        label=lambda i: f"[{G1.labels[a[i]]}.{G2.labels[b[i]]}]")
     embed1 = idx_of_pair[np.arange(v1) * v2]
     embed2 = idx_of_pair[:v2]
     amalg = Subgroup(G, tuple(int(embed1[z]) for z in zs))
     # the embedded copies must commute elementwise and intersect in amalg
     if set(embed1.tolist()) & set(embed2.tolist()) != set(amalg.members):
         raise GroupError("embedded factors do not intersect in Z")
-    if not np.array_equal(table[np.ix_(embed1, embed2)],
-                          table[np.ix_(embed2, embed1)].T):
+    if not np.array_equal(G.table[np.ix_(embed1, embed2)],
+                          G.table[np.ix_(embed2, embed1)].T):
         raise GroupError("embedded factors do not commute")
     return CentralProduct(G, embed1, embed2, amalg)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ff import Field
-from .groups import FiniteGroup, Automorphism, orbits
+from .groups import FiniteGroup, Automorphism, _check_budget, orbits
 from .groupring import GroupRingElement, class_values
 
 
@@ -28,6 +28,10 @@ class SchurPartition:
         class_of = np.full(v, -1, dtype=np.int64)
         for i, c in enumerate(classes):
             for g in c:
+                if isinstance(g, bool) or not isinstance(
+                        g, (int, np.integer)) or not 0 <= g < v:
+                    raise SRingError(f"class {i} has member {g!r}, not an "
+                                     f"element index 0..{v - 1}")
                 if class_of[g] >= 0:
                     raise SRingError(f"element {g} appears in two classes")
                 class_of[g] = i
@@ -108,6 +112,7 @@ def cyclotomic(G: FiniteGroup, gens) -> SchurPartition:
 
 def affine_plane_group(F: Field) -> FiniteGroup:
     """Elementary abelian group of order n^2 realized as F_n x F_n."""
+    _check_budget(F.q ** 2)
     els = [(x, y) for x in F.elements() for y in F.elements()]
 
     def mul(a, b):

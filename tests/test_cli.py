@@ -126,6 +126,19 @@ def test_verify_sring(tmp_path):
     assert len(r["certificates"][0]["tensor"]) == 5
 
 
+def test_verify_sring_rejects_member_out_of_range(tmp_path):
+    group = tmp_path / "c4.json"
+    group.write_text(json.dumps({"order": 4,
+                                 "table": cyclic(4).table.ravel().tolist()}))
+    classes = tmp_path / "classes.json"
+    classes.write_text(json.dumps([[2], [1, 3, 4]]))
+    report = tmp_path / "rep.json"
+    assert run(["verify", "sring", "--group", str(group), "--sets",
+                str(classes), "--out", str(report)]) == 1
+    assert load(report)["error"] == (
+        "SRingError: class 2 has member 4, not an element index 0..3")
+
+
 def test_export_graph_formats(tmp_path, capsys):
     assert run(["export", "graph", "--q", "3", "--format", "adjlist"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -140,6 +153,18 @@ def test_export_dev_q8(capsys):
     assert run(["export", "dev", "--family", "q8", "--format", "json"]) == 0
     blocks = json.loads(capsys.readouterr().out)["blocks"]
     assert len(blocks) == 8
+
+
+@pytest.mark.parametrize("args", [
+    ["export", "dev", "--family", "extraspecial", "--p", "5"],
+    ["export", "ctensor", "--family", "q8"],
+    ["export", "graph", "--family", "q8"],
+    ["export", "graph", "--family", "extraspecial"]])
+def test_export_rejects_a_family_it_does_not_build(capsys, args):
+    assert run(args) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"export {args[1]} does not build --family {args[3]}" in err
 
 
 def test_export_ctensor(capsys):

@@ -82,8 +82,8 @@ def test_overflow_guard():
 
 def test_noncommutative_convolution():
     G = quaternion8()
-    a_el = G.index[(1, 0)]
-    b_el = G.index[(0, 1)]
+    a_el = G.index[(0, 1)]
+    b_el = G.index[(1, 0)]
     x = GroupRingElement.basis(G, a_el)
     y = GroupRingElement.basis(G, b_el)
     assert x * y != y * x

@@ -3,6 +3,7 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -39,8 +40,9 @@ def test_direct_product():
     assert G.order == 8
     assert G.is_abelian()
     assert G.exponent() == 4
-    # embeddings are homomorphic images
-    assert G.mul(int(G.embed1[1]), int(G.embed2[1])) == 1 * 2 + 1
+    # the pair (a, b) has index a * 2 + b
+    assert G.index[(1, 1)] == 1 * 2 + 1
+    assert G.mul(G.index[(1, 0)], G.index[(0, 1)]) == G.index[(1, 1)]
 
 
 def test_audit_rejects_bad_table():
@@ -196,26 +198,64 @@ def test_automorphism_agrees_with_all_pairs(make):
 
 
 def test_table_budget_refuses_before_allocating():
-    # a missing check would allocate about 14 GB: cap the child's
-    # address space so that it fails fast instead
+    # a missing check would allocate about 14 GB, or list about 10**9
+    # elements: cap the child's address space so that it fails fast
     code = (
         "import resource\n"
         "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+        "from rdslink.cli import main\n"
         "from rdslink.constructions import heisenberg_system_2r\n"
         "from rdslink.ff import field_make\n"
-        "from rdslink.groups import GroupError\n"
-        "try:\n"
-        "    heisenberg_system_2r(field_make(3, 2), 2)\n"
-        "except GroupError as exc:\n"
-        "    print(exc)\n")
+        "from rdslink.groups import (GroupError, cyclic,\n"
+        "                            elementary_abelian, extraspecial_mp3)\n"
+        "from rdslink.schur import affine_plane_group\n"
+        "for make in (lambda: heisenberg_system_2r(field_make(3, 2), 2),\n"
+        "             lambda: cyclic(10 ** 9),\n"
+        "             lambda: elementary_abelian(2, 34),\n"
+        "             lambda: extraspecial_mp3(1009),\n"
+        "             lambda: affine_plane_group(field_make(2, 16))):\n"
+        "    try:\n"
+        "        make()\n"
+        "    except GroupError as exc:\n"
+        "        print(exc)\n"
+        "print('exit', main(['construct', 'extraspecial', '--p', '1009']))\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, timeout=120,
                          env={"PYTHONPATH": ":".join(sys.path),
                               "OPENBLAS_NUM_THREADS": "1"})
     assert out.returncode == 0, out.stderr
-    need = 4 * 59049 ** 2
-    assert f"order 59049 needs a {need:,}-byte table" in out.stdout
-    assert need > TABLE_BYTES
+    for v in (59049, 10 ** 9, 2 ** 34, 1009 ** 3, 2 ** 32):
+        need = 4 * v * v
+        assert need > TABLE_BYTES
+        assert f"order {v} needs a {need:,}-byte table" in out.stdout
+    assert out.stdout.endswith("exit 1\n")
+    assert out.stderr == (f"error: GroupError: order {1009 ** 3} needs a "
+                          f"{4 * 1009 ** 6:,}-byte table, over the "
+                          f"{TABLE_BYTES:,}-byte budget\n")
+
+
+def test_from_elements_peak_is_near_its_table():
+    # the table fills in row blocks: no v^2 temporary sits beside it
+    tracemalloc.start()
+    try:
+        G = cyclic(2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * G.table.nbytes
+
+
+@pytest.mark.parametrize("elements", [
+    [(0, 0), (1, 0), (0, 1), (1, 1)],  # the grid, but column-major
+    [(0, 0), (0, 1), (0, 1), (1, 1)],  # (1, 0) missing
+    [(0, 0), (0, 1), (1, 0)],  # too few for the 2 x 2 grid
+    [0, 2, 1], [1, 0], [0, 1, 5]])
+def test_from_elements_requires_row_major_grid_order(elements):
+    def mul(g, h):
+        return tuple((x + y) % 2 for x, y in zip(g, h))
+
+    with pytest.raises(GroupError, match="row-major order"):
+        FiniteGroup.from_elements(elements, mul)
 
 
 def test_from_elements_rejects_product_off_grid():
@@ -264,10 +304,10 @@ def test_quaternion8():
     G = quaternion8()
     assert G.order == 8
     assert Counter(G.element_orders()) == {1: 1, 2: 1, 4: 6}
-    a, b = G.index[(1, 0)], G.index[(0, 1)]
+    a, b = G.index[(0, 1)], G.index[(1, 0)]
     # b^2 = a^2 and b a b^-1 = a^-1
-    assert G.mul(b, b) == G.index[(2, 0)]
-    assert G.mul(G.mul(b, a), int(G.inv[b])) == G.index[(3, 0)]
+    assert G.mul(b, b) == G.index[(0, 2)]
+    assert G.mul(G.mul(b, a), int(G.inv[b])) == G.index[(0, 3)]
 
 
 def test_subgroup_validation():

@@ -1,3 +1,6 @@
+import re
+
+import numpy as np
 import pytest
 
 from rdslink.ff import field_make
@@ -19,6 +22,17 @@ def test_partition_axioms():
         SchurPartition(G, [(0, 1), (2, 3)])  # {e} not its own class
     with pytest.raises(SRingError):
         SchurPartition(G, [(0,), (1, 3)])  # 2 not covered
+
+
+@pytest.mark.parametrize("classes, witness", [
+    ([(0,), (2,), (1, 3, 4)], "class 2 has member 4,"),
+    ([(0,), (2.0,), (1, 3)], "class 1 has member 2.0,"),
+    ([(0,), (2,), (-1, 1)], "class 2 has member -1,"),
+    ([(0,), (2,), (True, 3)], "class 2 has member True,")])
+def test_partition_rejects_non_element_members(classes, witness):
+    SchurPartition(cyclic(4), [(np.int64(0),), (np.uint8(2),), (1, 3)])
+    with pytest.raises(SRingError, match=re.escape(witness)):
+        SchurPartition(cyclic(4), classes)
 
 
 def test_verify_sring_cyclic():
