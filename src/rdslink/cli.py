@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -187,30 +188,143 @@ def cmd_construct(args):
 # verify
 
 
+_CHUNK = 1 << 20  # characters of an integer array parsed at a time
+# each byte's class: a digit "d", a comma, or else "x"
+_CLASS = bytes(ord("d") if 48 <= c <= 57 else c if c == ord(",")
+               else ord("x") for c in range(256))
+_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
+
+
+def _int_array(s: str, start: int):
+    """The array of nonnegative JSON integers whose text starts at
+    s[start], just after its "[", as one int64 array, with the index
+    after its "]"; None if that text is anything else.
+
+    The text is read _CHUNK characters at a time, cut at commas, so it
+    never becomes a list of Python ints.  A piece is read only if it
+    holds digits, commas and JSON whitespace alone, with digits before,
+    between and after its commas, and np.fromstring reads one number
+    per comma-separated field; the digits must then be exactly those of
+    the numbers read, at most 18 each, which a leading zero, a number
+    split by whitespace or an overflow breaks."""
+    first = json.decoder.WHITESPACE.match(s, start).end()
+    if not "0" <= s[first:first + 1] <= "9":
+        return None
+    close = s.find("]", first)
+    if close < 0:
+        return None
+    out = np.empty(s.count(",", first, close) + 1, dtype=np.int64)
+    filled, cut = 0, start - 1
+    while cut < close:
+        start = cut + 1
+        cut = s.find(",", min(start + _CHUNK, close), close)
+        cut = close if cut < 0 else cut
+        piece = s[start:cut].encode("ascii", "replace")
+        tight = piece.translate(_CLASS, b" \t\n\r")
+        k = tight.count(b",") + 1
+        if (b"x" in tight or b",," in tight or not tight.startswith(b"d")
+                or not tight.endswith(b"d")):
+            return None
+        try:  # numpy 2 raises where numpy 1 warns, at text it cannot read
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DeprecationWarning)
+                values = np.fromstring(piece, dtype=np.int64, sep=",")
+        except (ValueError, DeprecationWarning):
+            return None
+        if values.size != k:
+            return None
+        top = values.max()
+        # the digits of the numbers read: 1 each, plus 1 per power of 10
+        # up to its value
+        if top >= _POW10[-1] or len(tight) - k + 1 != k + sum(
+                np.count_nonzero(values >= p) for p in _POW10[_POW10 <= top]):
+            return None
+        out[filled:filled + k] = values
+        filled += k
+    return out, close + 1
+
+
+class _TableDecoder(json.JSONDecoder):
+    """json's decoder, except that an array of nonnegative integers is
+    read into one int64 array without a Python int per entry.  Objects
+    go to json.decoder.JSONObject, whose values come back here; every
+    other value, and every other array, valid or not, goes whole to
+    json's own scanner, so its value or error is that of json.load."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        json_scan = self.scan_once
+
+        def scan_once(s, idx):
+            if s.startswith("{", idx):
+                return json.decoder.JSONObject(
+                    (s, idx + 1), self.strict, scan_once, self.object_hook,
+                    self.object_pairs_hook)
+            if s.startswith("[", idx):
+                return _int_array(s, idx + 1) or json_scan(s, idx)
+            return json_scan(s, idx)
+
+        def scan_document(s, idx):
+            try:
+                return scan_once(s, idx)
+            except RecursionError:  # nested deeper than Python frames allow
+                return json_scan(s, idx)
+
+        self.scan_once = scan_document
+
+
+def _listed(obj):
+    """A parsed value with each array that _TableDecoder made a list,
+    as json.load returns it."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, list):
+        return [_listed(x) for x in obj]
+    if isinstance(obj, dict):
+        return {key: _listed(x) for key, x in obj.items()}
+    return obj
+
+
 def _load_group(path, spec) -> FiniteGroup:
-    """The group of a parsed bundle or group file: order v and a flat
-    table of v^2 entries.  The table list is taken out of spec, so it
-    is freed before the audit."""
+    """The group of a parsed bundle or group file: order v, a flat table
+    of v^2 entries, and optionally a name and a list of v labels.  The
+    table is taken out of spec, so the parsed file no longer holds it."""
     if isinstance(spec, dict) and "group" in spec:
         spec = spec["group"]
     for key in ("order", "table"):
         if not isinstance(spec, dict) or key not in spec:
             raise GroupError(f"{path}: the group has no {key!r}")
-    v, flat = spec["order"], spec.pop("table")
+    flat = spec.pop("table")
+    spec = _listed(spec)
+    v = spec["order"]
     if type(v) is not int or v < 1:
         raise GroupError(f"{path}: order {v!r} is not a positive integer")
-    n = len(flat) if isinstance(flat, list) else 0
+    if "name" in spec and type(spec["name"]) is not str:
+        raise GroupError(f"{path}: name {spec['name']!r} is not a string")
+    labels = spec.get("labels")
+    if "labels" in spec:
+        if not isinstance(labels, list):
+            raise GroupError(f"{path}: labels {labels!r} is not a list")
+        for pos, x in enumerate(labels[:v]):
+            if type(x) is not str:
+                raise GroupError(f"{path}: label {x!r} at position {pos} "
+                                 f"is not a string")
+        if len(labels) != v:
+            raise GroupError(f"{path}: order {v} needs {v} labels, found "
+                             f"{len(labels)}; position {min(len(labels), v)}"
+                             f" is wrong")
+    n = len(flat) if isinstance(flat, (list, np.ndarray)) else 0
     if n != v * v:
         raise GroupError(f"{path}: order {v} needs {v * v} table entries, "
                          f"found {n}; position {min(n, v * v)} is wrong")
-    check_integer_cells(flat, (v, v))
+    if isinstance(flat, list):  # not read as nonnegative integers
+        check_integer_cells(flat, (v, v))
     try:
-        table = np.array(flat, dtype=np.int64).reshape(v, v)
+        table = np.asarray(flat, dtype=np.int64).reshape(v, v)
     except OverflowError:
         raise GroupError(f"{path}: table entries out of range") from None
     del flat
-    return FiniteGroup(table, labels=spec.get("labels"),
-                       name=spec.get("name", "group"))
+    return FiniteGroup(table, labels=labels, name=spec.get("name", "group"))
 
 
 def _load_sets(path, data):
@@ -223,6 +337,7 @@ def _load_sets(path, data):
             data = [data["set"]]
         elif "classes" in data:
             data = data["classes"]
+    data = _listed(data)
     if not isinstance(data, list):
         raise GroupError(f"{path}: no list of sets")
     if not data:
@@ -255,7 +370,7 @@ def cmd_verify(args):
     def load(path):
         if path not in docs:
             with open(path) as fh:
-                docs[path] = json.load(fh)
+                docs[path] = json.load(fh, cls=_TableDecoder)
         return docs[path]
 
     def forbidden(X) -> Subgroup:

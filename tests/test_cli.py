@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import tracemalloc
 
@@ -7,6 +8,7 @@ import pytest
 
 from rdslink import cli
 from rdslink.cli import main
+from rdslink.constructions import theorem_1_2_rds
 from rdslink.groups import (FiniteGroup, cyclic, elementary_abelian,
                             quaternion8)
 from rdslink.rds import RdsError
@@ -502,3 +504,139 @@ def test_verify_rejects_empty_forbidden(bundles, tmp_path):
     assert r["ok"] is False
     assert r["error"] == (f"GroupError: {forbidden}: the list of sets is "
                           f"empty")
+
+
+def _typed(obj):
+    """obj with each scalar paired with its type, so 1, 1.0 and True
+    differ."""
+    if isinstance(obj, list):
+        return [_typed(x) for x in obj]
+    if isinstance(obj, dict):
+        return {key: _typed(x) for key, x in obj.items()}
+    return type(obj), obj
+
+
+def _parsed(loads, text):
+    try:
+        return "value", _typed(cli._listed(loads(text)))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+LABELED = json.dumps({"labels": ["e]", "café χ", "[2", "3"],
+                      "name": "C₂ × C₂",
+                      "table": [0, 1, 2, 3, 1, 0, 3, 2, 2, 3, 0, 1,
+                                3, 2, 1, 0]}, ensure_ascii=False)
+
+# a piece ends at the first comma _CHUNK or more characters into it:
+# the small sizes cut "[10,20,30,]" at its trailing comma, and put a
+# cut right before or after the whitespace-split pair of the two texts
+# after it
+READER_CORPUS = [
+    "[]", "[0]", "[1 2]", "[01]", "[+1]", "[1,]", "[,1]", "[1,,2]",
+    "[-1]", "[2.5]", "[true, 1]", "[1e3]", '["1"]', "[[1],[2]]",
+    "[123456789012345678901]", "[9999999999999999999]",
+    "[999999999999999999]", "[ 1 ,\t2\r\n, 30 ]", "[0, 00]", "[1, 2",
+    "[1, 2]]", "[1, 2] x", '{"a": [1, [2, 3]], "b": [4], "c": [5 6]}',
+    "[10,20,30,]", "[10,20,30 40]", "[10,20 30,40]", "[10,20, 30]",
+    "[01, ,2]", "[1, ,2]", "[10,20,3٣]", '{"a": 3٣}',
+    # deeper than the reader's Python frames allow, and than json's own
+    pytest.param("[" * 700 + "]" * 700, id="nested-700"),
+    pytest.param('{"a": ' * 700 + "[1]" + "}" * 700, id="objects-700"),
+    pytest.param("[" * 5000 + "]" * 5000, id="nested-5000"),
+    pytest.param(LABELED, id="labeled-group")]
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 6, 1 << 20])
+@pytest.mark.parametrize("text", READER_CORPUS)
+def test_reader_matches_json(monkeypatch, chunk, text):
+    monkeypatch.setattr(cli, "_CHUNK", chunk)
+    assert _parsed(lambda t: json.loads(t, cls=cli._TableDecoder),
+                   text) == _parsed(json.loads, text)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 1 << 20])
+def test_reader_matches_json_on_every_short_array(monkeypatch, chunk):
+    monkeypatch.setattr(cli, "_CHUNK", chunk)
+    for n in range(6):
+        for chars in itertools.product("01, ]", repeat=n):
+            text = "[" + "".join(chars) + "]"
+            assert _parsed(lambda t: json.loads(t, cls=cli._TableDecoder),
+                           text) == _parsed(json.loads, text), text
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 1 << 20])
+def test_reader_makes_one_array_per_integer_list(monkeypatch, chunk):
+    monkeypatch.setattr(cli, "_CHUNK", chunk)
+    doc = json.loads(LABELED, cls=cli._TableDecoder)
+    assert isinstance(doc["table"], np.ndarray)
+    assert doc["table"].dtype == np.int64
+    assert doc["table"].tolist() == json.loads(LABELED)["table"]
+    assert doc["labels"] == json.loads(LABELED)["labels"]
+
+
+@pytest.fixture(scope="module")
+def thm12_r3(tmp_path_factory):
+    path = tmp_path_factory.mktemp("thm12") / "thm12.json"
+    assert run(["construct", "thm12", "--p", "3", "--r", "3", "--out",
+                str(path)]) == 0
+    return path
+
+
+def test_loading_the_order_2187_bundle_holds_no_int_per_entry(thm12_r3):
+    # reading holds the file's bytes and its text at once (2 x 55 MB);
+    # the table is one 38 MB int64 array.  As a list of Python ints the
+    # same load peaks at 213 MB.
+    size = thm12_r3.stat().st_size
+    tracemalloc.start()
+    try:
+        with open(thm12_r3) as fh:
+            G = cli._load_group(thm12_r3, json.load(fh,
+                                                    cls=cli._TableDecoder))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(G.table, theorem_1_2_rds(3, 3)[0].table)
+    assert size > 55_000_000
+    assert peak < 2.2 * size
+
+
+def _with_group(bundle, tmp_path, **fields):
+    b = load(bundle)
+    b["group"].update(fields)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(b))
+    return path
+
+
+@pytest.mark.parametrize("fields, where", [
+    ({"labels": 5}, "labels 5 is not a list"),
+    ({"labels": ["e", "a"]},
+     "order 8 needs 8 labels, found 2; position 2 is wrong"),
+    ({"labels": list("abcdefghi")},
+     "order 8 needs 8 labels, found 9; position 8 is wrong"),
+    ({"labels": list("abcd") + [4] + list("fgh")},
+     "label 4 at position 4 is not a string"),
+    ({"labels": list(range(8))}, "label 0 at position 0 is not a string"),
+    ({"name": 5}, "name 5 is not a string"),
+    ({"name": ["Q8"]}, "name ['Q8'] is not a string"),
+])
+@pytest.mark.parametrize("kind", ["rds", "linked"])
+def test_verify_rejects_malformed_labels(bundles, tmp_path, kind, fields,
+                                         where):
+    bundle = _with_group(bundles / "linked.json", tmp_path, **fields)
+    report = tmp_path / "rep.json"
+    assert run(["verify", kind, "--group", str(bundle), "--sets",
+                str(bundle), "--out", str(report)]) == 1
+    assert load(report)["error"] == f"GroupError: {bundle}: {where}"
+
+
+def test_verify_needs_no_labels_or_name(bundles, tmp_path):
+    b = load(bundles / "linked.json")
+    del b["group"]["labels"], b["group"]["name"]
+    bundle = tmp_path / "bare.json"
+    bundle.write_text(json.dumps(b))
+    report = tmp_path / "rep.json"
+    assert run(["verify", "linked", "--group", str(bundle), "--sets",
+                str(bundle), "--out", str(report)]) == 0
+    assert load(report)["ok"]

@@ -1,9 +1,15 @@
-import pytest
+import itertools
 
+import pytest
+from sympy import factorint
+from sympy.combinatorics import Permutation, PermutationGroup
+
+from rdslink.constructions import q8_system_2r
 from rdslink.groupring import GroupRingError
 from rdslink.linked import (InverseNotInFamily, LinkedError,
-                            NonIntegralBranch, associated_group,
-                            munu_branches, verify_linked)
+                            NonIntegralBranch, _abelian_invariant_factors,
+                            associated_group, munu_branches, verify_linked)
+from rdslink.rds import RdsError
 
 
 def test_munu_branches_known_values():
@@ -89,3 +95,40 @@ def test_psi_commutative_gives_abelian(heis3):
     c = heis3.certificate
     for (a, b), g in c.psi.items():
         assert c.psi[(b, a)] == g
+
+
+@pytest.mark.parametrize("system", ["heis3", "heis5", "q8cert", "dps3",
+                                    "dps4", "q8_2r"])
+def test_associated_group_against_sympy(request, system):
+    # sympy classifies the left-regular permutation group of the table
+    c = (q8_system_2r(2) if system == "q8_2r"
+         else request.getfixturevalue(system))
+    c = getattr(c, "certificate", c)
+    a = associated_group(c.s, c.chi, c.psi)
+    P = PermutationGroup([Permutation(row) for row in a.group.table.tolist()])
+    assert P.order() == a.order == c.s + 1
+    assert P.is_abelian == a.group.is_abelian()
+    invs = _abelian_invariant_factors(a.group)
+    assert a.kind == "nonabelian" or invs == a.invariant_factors
+    # sympy lists prime-power cyclic factors; the factors here are
+    # invariant factors, each dividing the one before it
+    assert all(x % y == 0 for x, y in zip(invs, invs[1:]))
+    assert sorted(P.abelian_invariants()) == sorted(
+        p ** e for f in invs for p, e in factorint(f).items())
+
+
+@pytest.mark.parametrize("system", ["heis3", "q8cert", "dps3"])
+def test_every_single_swap_of_a_member_breaks_the_system(request, system):
+    c = request.getfixturevalue(system)
+    c = getattr(c, "certificate", c)
+    G, family = c.group, [tuple(X) for X in c.sets]
+    swaps = 0
+    for i, X in enumerate(family):
+        for out, into in itertools.product(X, range(G.order)):
+            if into in X:
+                continue
+            Y = tuple(sorted(set(X) - {out} | {into}))
+            with pytest.raises((LinkedError, RdsError)):
+                verify_linked(G, c.N, family[:i] + [Y] + family[i + 1:])
+            swaps += 1
+    assert swaps == len(family) * c.k * (G.order - c.k)
