@@ -15,12 +15,11 @@ from .rds import (IntersectionArray, PdsCertificate, RdsCertificate,
                   thas_somma, verify_pds, verify_rds)
 from .linked import (AssociatedGroup, LinkedCertificate, LinkedError,
                      associated_group, linked_product, munu_branches,
-                     verify_linked)
+                     munu_by_sign, verify_linked)
 from .constructions import (ConstructionError, DpsSystem, ExtraspecialSystem,
-                            HeisenbergSystem, dps_system, endo_space,
-                            extraspecial_rds, heisenberg_system,
-                            heisenberg_system_2r, q8_system, q8_system_2r,
-                            theorem_1_2_rds)
+                            HeisenbergSystem, dps_system, extraspecial_rds,
+                            heisenberg_system, heisenberg_system_2r,
+                            q8_system, q8_system_2r, theorem_1_2_rds)
 
 __version__ = "1.0.0"
 
@@ -36,9 +35,9 @@ __all__ = [
     "cayley_drg_check", "dev", "rds_product", "rds_to_pds", "thas_somma",
     "verify_pds", "verify_rds",
     "AssociatedGroup", "LinkedCertificate", "LinkedError",
-    "associated_group", "linked_product", "munu_branches", "verify_linked",
+    "associated_group", "linked_product", "munu_branches", "munu_by_sign",
+    "verify_linked",
     "ConstructionError", "DpsSystem", "ExtraspecialSystem",
-    "HeisenbergSystem", "dps_system", "endo_space", "extraspecial_rds",
-    "heisenberg_system", "heisenberg_system_2r", "q8_system", "q8_system_2r",
-    "theorem_1_2_rds",
+    "HeisenbergSystem", "dps_system", "extraspecial_rds", "heisenberg_system",
+    "heisenberg_system_2r", "q8_system", "q8_system_2r", "theorem_1_2_rds",
 ]

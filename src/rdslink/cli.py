@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import warnings
 
@@ -21,7 +20,7 @@ from . import constructions as cons
 from .ff import field_make, is_prime
 from .groups import (FiniteGroup, GroupError, Subgroup,
                      check_integer_cells)
-from .linked import associated_group, munu_branches, verify_linked
+from .linked import associated_group, munu_by_sign, verify_linked
 from .rds import (cayley_adjacency, certify_rds, dev, verify_pds,
                   verify_rds)
 from .schur import SchurPartition, verify_sring
@@ -483,14 +482,6 @@ def cmd_export(args):
 # resolve-branch
 
 
-def _closed_form_pair(m, n, k):
-    """The minus-sign branch of the closed formulas (the one the source
-    corollaries state for these families)."""
-    root = math.isqrt(k * (m * n - k) // (m * (n - 1)))
-    return ((k * k - (m * n - k) * root) // (m * n),
-            (k * (k + root)) // (m * n))
-
-
 def cmd_resolve_branch(args):
     if args.target == "heis2r":
         p, r0 = _prime_power(args.q)
@@ -501,17 +492,18 @@ def cmd_resolve_branch(args):
         params = {"r": args.r}
     m, n, k = cert.m, cert.n, cert.k
     realized = (cert.mu, cert.nu)
-    branches = munu_branches(m, n, k)
-    claimed = _closed_form_pair(m, n, k)
+    by_sign = munu_by_sign(m, n, k)
+    # the minus branch is the one the source corollaries state
+    claimed = by_sign.get(-1)
     report = {"command": "resolve-branch", "target": args.target,
               "params": params,
               "m": m, "n": n, "k": k,
               "realized": list(realized),
-              "branches": [list(b) for b in branches],
-              "closed_form_claim": list(claimed),
+              "branches": [list(b) for b in by_sign.values()],
+              "closed_form_claim": list(claimed) if claimed else None,
               "matches_closed_form": realized == claimed,
               "branch_note": cert.branch_note,
-              "ok": realized in branches}
+              "ok": realized in by_sign.values()}
     _dump(report, args.out)
     return 0 if report["ok"] else 1
 

@@ -360,7 +360,7 @@ class DpsSystem:
     H: FiniteGroup
     plane: FiniteGroup  # elementary abelian of order n^2
     ambient: FiniteGroup  # H x plane
-    endos: list  # matrices of S, zero first
+    endos: list  # matrices of the multipliers in S, zero first
     amorphic_sets: dict
     families: list  # Y_f index sets, f in S^#
     certificate: LinkedCertificate
@@ -368,65 +368,6 @@ class DpsSystem:
     def to_json(self):
         return {"n": self.n_field.q, "t": self.t, "s": len(self.endos),
                 "certificate": self.certificate.to_json()}
-
-
-def endo_space(p: int, j: int, i: int):
-    """p^i endomorphism matrices of C_p^j, every nonzero one invertible:
-    the additive span of multiplication by 1, t, ..., t^(i-1) in the
-    regular representation of GF(p^j)."""
-    if i > j or i < 1:
-        raise ConstructionError("need 1 <= i <= j")
-    F = field_make(p, j)
-
-    def mult_matrix(a):
-        cols = []
-        for k in range(j):
-            img = F.mul(a, F.from_coeffs([0] * k + [1]))
-            col = F.coeffs(img)
-            cols.append(tuple(col + [0] * (j - len(col))))
-        # cols[k] = coeffs of a * t^k; store row-major
-        return tuple(tuple(cols[k][row] for k in range(j))
-                     for row in range(j))
-
-    basis = [mult_matrix(F.from_coeffs([0] * k + [1])) for k in range(i)]
-    out = []
-    for coeffs in itertools.product(range(p), repeat=i):
-        M = tuple(tuple(sum(c * B[r][cc] for c, B in zip(coeffs, basis)) % p
-                        for cc in range(j)) for r in range(j))
-        out.append(M)
-    out.sort(key=lambda M: M != tuple(tuple(0 for _ in range(j))
-                                      for _ in range(j)))
-    if len(set(out)) != p ** i:
-        raise ConstructionError("endomorphism span collapsed")
-    for M in out[1:]:
-        if _det_mod(M, p) == 0:
-            raise ConstructionError("nonzero endomorphism is singular")
-    return out
-
-
-def _det_mod(M, p):
-    M = [list(r) for r in M]
-    j = len(M)
-    det = 1
-    for col in range(j):
-        piv = next((r for r in range(col, j) if M[r][col] % p), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            det = -det
-        det = det * M[col][col] % p
-        inv = pow(M[col][col], -1, p)
-        for r in range(col + 1, j):
-            f = M[r][col] * inv % p
-            for cc in range(col, j):
-                M[r][cc] = (M[r][cc] - f * M[col][cc]) % p
-    return det % p
-
-
-def _apply_endo(M, h, p):
-    return tuple(sum(M[r][cc] * h[cc] for cc in range(len(h))) % p
-                 for r in range(len(h)))
 
 
 def dps_system(F: Field, t: int, s: int | None = None,
@@ -455,19 +396,27 @@ def dps_system(F: Field, t: int, s: int | None = None,
     plane, sets = amorphic_latin(F, t, labeling)
     ambient = direct_product(H, plane)
     vg = plane.order
-    endos = endo_space(p, j, i)
+    # S multiplies H = GF(p^j) by the span of 1, tau, ..., tau^(i-1), tau
+    # a root of the modulus; a nonzero multiplier is invertible.  H lists
+    # h = (h_0, ..., h_(j-1)) with h_0 most significant, the field
+    # h_0 + h_1 tau + ..., so field_of[idx] reverses idx's digits
+    Fh = field_make(p, j)
+    S = [Fh.from_coeffs(c) for c in itertools.product(range(p), repeat=i)]
+    field_of = np.array([Fh.from_coeffs(h) for h in H.elements])
+    h_of = np.argsort(field_of)
+    place = p ** np.arange(j)
+    # column k of the matrix of a holds the digits of a tau^k
+    endos = [tuple(map(tuple, (Fh.mul(a, place)[None] // place[:, None]
+                               % p).tolist())) for a in S]
 
     fams = []
-    for M in endos[1:]:
-        members = {0}
-        for h_idx, h in enumerate(H.elements):
-            hf = _apply_endo(M, h, p)
-            hf_idx = H.index[hf]
-            for g in sets[h_idx]:
-                members.add(hf_idx * vg + g)
-        if len(members) != n * n:
+    for a in S[1:]:
+        hf = h_of[Fh.mul(a, field_of)] * vg  # h -> h^f, shifted into H x G
+        members = np.unique(np.concatenate(
+            [[0]] + [hf[h] + np.asarray(sets[h]) for h in range(t)]))
+        if members.size != n * n:
             raise ConstructionError("|Y_f| != n^2")
-        fams.append(tuple(sorted(members)))
+        fams.append(tuple(members.tolist()))
 
     N = Subgroup(ambient, tuple(h_idx * vg for h_idx in range(t)))
     cert = verify_linked(ambient, N, fams)
@@ -479,15 +428,14 @@ def dps_system(F: Field, t: int, s: int | None = None,
     # with these parameters verify_linked has shown every non-inverse
     # product to be n Y_psi + ((n-1)n/t)(H x G) and Y_f Y_chi(f) to be the
     # RDS equation: the product identity, Y_f^(-1) = Y_(-f) among it,
-    # holds iff chi and psi add the endomorphisms
-    key = {M: k for k, M in enumerate(endos[1:])}
-    for (M1, k1), (M2, k2) in itertools.product(key.items(), repeat=2):
-        Msum = tuple(tuple((a + b) % p for a, b in zip(r1, r2))
-                     for r1, r2 in zip(M1, M2))
-        if Msum == endos[0]:
+    # holds iff chi and psi add the multipliers
+    key = {a: k for k, a in enumerate(S[1:])}
+    for (a1, k1), (a2, k2) in itertools.product(key.items(), repeat=2):
+        a = Fh.add(a1, a2)
+        if a == 0:
             ok = cert.chi[k1] == k2
         else:
-            ok = cert.chi[k1] != k2 and cert.psi[(k1, k2)] == key[Msum]
+            ok = cert.chi[k1] != k2 and cert.psi[(k1, k2)] == key[a]
         if not ok:
             raise ConstructionError(
                 f"product identity fails for pair ({k1},{k2})")

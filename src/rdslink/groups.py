@@ -132,7 +132,6 @@ class FiniteGroup:
                       if elements is not None else None)
         # the first zero in each row: entries are nonnegative indices
         self.inv = table.argmin(axis=1)
-        self._orders = None
 
     @classmethod
     def from_elements(cls, elements, mul, name="group", label=None):
@@ -177,17 +176,14 @@ class FiniteGroup:
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
 
-    def element_order(self, g: int) -> int:
-        n, x = 1, g
-        while x != 0:
-            x = int(self.table[x, g])
-            n += 1
-        return n
-
     def element_orders(self):
-        if self._orders is None:
-            self._orders = [self.element_order(g) for g in range(self.order)]
-        return self._orders
+        """The order of every element, all powers g^k stepped at once."""
+        g = np.arange(self.order)
+        x, orders = g, np.ones(self.order, dtype=np.int64)
+        while x.any():  # x = g^orders, held at e once it gets there
+            orders += x != 0
+            x = np.where(x != 0, self.table[x, g], 0)
+        return orders.tolist()
 
     def exponent(self) -> int:
         return math.lcm(*self.element_orders())

@@ -149,9 +149,9 @@ def verify_linked(G: FiniteGroup, N: Subgroup, family) -> LinkedCertificate:
     return cert
 
 
-def munu_branches(m: int, n: int, k: int):
-    """Both sign branches of the closed (mu, nu) formulas; only branches
-    with nonnegative integer values are kept."""
+def munu_by_sign(m: int, n: int, k: int) -> dict:
+    """{sign: (mu, nu)} for the closed formulas on the + and - sign
+    branches; only branches with nonnegative integer values are kept."""
     num = k * (m * n - k)
     den = m * (n - 1)
     if num % den:
@@ -160,7 +160,7 @@ def munu_branches(m: int, n: int, k: int):
     root = math.isqrt(sq)
     if root * root != sq:
         raise NonIntegralBranch(f"sqrt({sq}) is not an integer")
-    out = []
+    out = {}
     for sign in (+1, -1):
         mu_num = k * k + sign * (m * n - k) * root
         nu_num = k * (k - sign * root)
@@ -168,11 +168,16 @@ def munu_branches(m: int, n: int, k: int):
             continue
         mu, nu = mu_num // (m * n), nu_num // (m * n)
         if mu >= 0 and nu >= 0:
-            out.append((mu, nu))
+            out[sign] = (mu, nu)
     if not out:
         raise NonIntegralBranch(
             f"no integral (mu, nu) branch for (m, n, k) = ({m},{n},{k})")
     return out
+
+
+def munu_branches(m: int, n: int, k: int):
+    """The feasible (mu, nu) pairs of munu_by_sign, + branch first."""
+    return list(munu_by_sign(m, n, k).values())
 
 
 # ---------------------------------------------------------------------------
@@ -196,55 +201,26 @@ class AssociatedGroup:
 
 
 def _abelian_invariant_factors(G: FiniteGroup):
-    """Invariant factors of an abelian group from order-counting.
-
-    For each prime p the counts N_k = #{g : g^(p^k) = e} = p^(d_k)
-    determine the p-type: d_k - d_(k-1) factors have exponent >= k.
-    """
+    """Invariant factors n_1, n_2, ... (each dividing the one before) of
+    an abelian group: the divisor chain of |G| whose product of
+    gcd(d, n_i) counts #{g : g^d = e} for every divisor d of |G|."""
     v = G.order
-    orders = G.element_orders()
-    primes = []
-    x = v
-    d = 2
-    while d * d <= x:
-        if x % d == 0:
-            primes.append(d)
-            while x % d == 0:
-                x //= d
-        d += 1
-    if x > 1:
-        primes.append(x)
-    per_prime = {}
-    for p in primes:
-        kmax = 0
-        while v % p ** (kmax + 1) == 0:
-            kmax += 1
-        ds = [0]
-        for kk in range(1, kmax + 1):
-            nk = sum(1 for o in orders if p ** kk % o == 0)
-            e = 0
-            while p ** e < nk:
-                e += 1
-            if p ** e != nk:
-                raise LinkedError("order counts are not p-powers")
-            ds.append(e)
-        # ds[k] - ds[k-1] = number of cyclic p-factors of exponent >= k
-        mult = [ds[kk] - ds[kk - 1] for kk in range(1, kmax + 1)]
-        factors = []
-        for kk in range(kmax, 0, -1):
-            cnt = mult[kk - 1] - (mult[kk] if kk < kmax else 0)
-            factors.extend([p ** kk] * cnt)
-        per_prime[p] = sorted(factors, reverse=True)
-    # combine across primes into invariant factors (largest first)
-    width = max((len(f) for f in per_prime.values()), default=0)
-    invs = []
-    for i in range(width):
-        d = 1
-        for p, fs in per_prime.items():
-            if i < len(fs):
-                d *= fs[i]
-        invs.append(d)
-    return tuple(invs)
+    orders = np.array(G.element_orders())
+    divisors = [d for d in range(1, v + 1) if v % d == 0]
+    counts = [int((d % orders == 0).sum()) for d in divisors]
+
+    def chains(rest, top):  # factors > 1 with product rest, each | top
+        if rest == 1:
+            yield ()
+        for n in divisors[1:]:
+            if rest % n == 0 and top % n == 0:
+                yield from ((n,) + c for c in chains(rest // n, n))
+
+    for chain in chains(v, v):
+        if counts == [math.prod(math.gcd(d, n) for n in chain)
+                      for d in divisors]:
+            return chain
+    raise LinkedError("element order counts match no abelian group")
 
 
 def associated_group(s: int, chi, psi) -> AssociatedGroup:
@@ -253,29 +229,28 @@ def associated_group(s: int, chi, psi) -> AssociatedGroup:
     Raises if the extended table fails the group axioms, which signals
     that (chi, psi) did not come from a genuine closed linked system.
     """
-    chi = tuple(int(c) for c in chi)
+    def index(x, what):
+        if isinstance(x, bool) or not isinstance(x, (int, np.integer)) \
+                or not 0 <= x < s:
+            raise LinkedError(f"{what} = {x!r} is not an index 0..{s - 1}")
+        return int(x)
+
+    chi = tuple(index(c, f"chi[{a}]") for a, c in enumerate(chi))
     if len(chi) != s or any(chi[chi[a]] != a for a in range(s)):
         raise LinkedError("chi must be an involution of S")
-    for a, b in itertools.product(range(s), repeat=2):
-        if b != chi[a] and (a, b) not in psi:
+    pairs = [(a, b) for a, b in itertools.product(range(s), repeat=2)
+             if b != chi[a]]
+    for a, b in pairs:
+        if (a, b) not in psi:
             raise LinkedError(f"psi undefined off the diagonal at ({a},{b})")
+    # infinity has index 0 and a in S index a + 1; a chi(a) = infinity
     carrier = [INF] + list(range(s))
-    idx = {el: i for i, el in enumerate(carrier)}
-
-    def op(x, y):
-        if x == INF:
-            return y
-        if y == INF:
-            return x
-        if y == chi[x]:
-            return INF
-        return psi[(x, y)]
-
     v = s + 1
-    table = np.empty((v, v), dtype=np.int64)
-    for i, x in enumerate(carrier):
-        for j, y in enumerate(carrier):
-            table[i, j] = idx[op(x, y)]
+    table = np.zeros((v, v), dtype=np.int64)
+    table[0] = table[:, 0] = np.arange(v)
+    if pairs:
+        rows, cols = np.array(pairs).T + 1
+        table[rows, cols] = [index(psi[ab], f"psi{ab}") + 1 for ab in pairs]
     try:
         G = FiniteGroup(table, labels=[str(c) for c in carrier],
                         name=f"S^inf({s})")

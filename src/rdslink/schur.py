@@ -161,7 +161,6 @@ def amorphic_latin(F: Field, t: int, labeling=None):
         labeling = default_labeling(n, t)
     if len(labeling) != t:
         raise SRingError("labeling must have t cells")
-    sizes = sorted(len(c) for c in labeling)
     if sorted(len(c) for c in labeling[1:]) != [n // t] * (t - 1) or \
             len(labeling[0]) != n // t + 1:
         raise SRingError("labeling cells must have sizes n/t + 1, n/t, ...")

@@ -56,3 +56,31 @@ def _unreferenced():
 
 def test_every_function_has_a_non_test_caller():
     assert _unreferenced() == []
+
+
+def _dead_locals():
+    """Names a function stores and never reads, nested functions
+    included; x += 1 reads x, and _ is the name for a value unused."""
+    out = []
+    for path in SOURCES:
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            stored, read = {}, set()
+            for node in ast.walk(fn):
+                if isinstance(node, ast.AugAssign) and \
+                        isinstance(node.target, ast.Name):
+                    read.add(node.target.id)
+                elif isinstance(node, ast.Name):
+                    if isinstance(node.ctx, ast.Store):
+                        stored.setdefault(node.id, node.lineno)
+                    else:
+                        read.add(node.id)
+            out += [f"{path.name}:{line} {fn.name}: {name}"
+                    for name, line in stored.items()
+                    if name not in read and name != "_"]
+    return out
+
+
+def test_every_local_is_read():
+    assert _dead_locals() == []

@@ -275,6 +275,16 @@ BUNDLE_DIGESTS = {
         "497e18280a47e1620bc49771e08cf4db0efdb7646758428fce8b36fa18392868",
     "export ctensor --q 5":
         "49d55712cf74fe0442525e8118806b18922dbada4e3b78d0544b020c49587070",
+    "construct dps --n 8 --t 8 --s 4":
+        "e8884c22eb96859ce3c23d1aaea7a2ac92aee05d18e10f74d6616f8742a7d13e",
+    "construct dps --n 8 --t 8 --s 8":
+        "7831c00547cbfec9949809e9b933e83aab902fbfcd10ce06800b8599c7ded561",
+    "construct dps --n 9 --t 9 --s 9":
+        "da0a1276b9d05c740724ebaf1c186d1b9967d76e5a2245fd5e28dcd8e16cbed3",
+    "resolve-branch --target heis2r --q 3 --r 2":
+        "f79b2e73729ba0a6bb4549e1f17d83cd7bdea54d97b69ecca8c01c97a2ab8988",
+    "resolve-branch --target q8-2r --r 2":
+        "a7ffe48ab6fbb83c7a9b7d073845e7fb9113356d4a3f132cc7eb7f2c1cfc8d8e",
 }
 
 

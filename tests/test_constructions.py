@@ -5,7 +5,7 @@ from rdslink import constructions
 from rdslink.ff import field_make
 from rdslink.groups import center, is_transversal
 from rdslink.linked import LinkedError, verify_linked
-from rdslink.constructions import (ConstructionError, dps_system, endo_space,
+from rdslink.constructions import (ConstructionError, dps_system,
                                    extraspecial_rds, heisenberg_system,
                                    heisenberg_system_2r, q8_system,
                                    q8_system_2r, theorem_1_2_rds)
@@ -192,14 +192,23 @@ def test_q8_2r():
 # DPS
 
 
-def test_endo_space():
-    S = endo_space(3, 1, 1)
-    assert S == [((0,),), ((1,),), ((2,),)]
-    S4 = endo_space(2, 2, 2)
-    assert len(S4) == 4
-    assert S4[0] == ((0, 0), (0, 0))
-    with pytest.raises(ConstructionError):
-        endo_space(2, 2, 3)
+@pytest.mark.parametrize("p, r, t, s, endos", [
+    (3, 1, 3, 3, [((0,),), ((1,),), ((2,),)]),
+    (2, 2, 4, 4, [((0, 0), (0, 0)), ((0, 1), (1, 1)), ((1, 0), (0, 1)),
+                  ((1, 1), (1, 0))]),
+    (2, 3, 8, 4, [((0, 0, 0), (0, 0, 0), (0, 0, 0)),
+                  ((0, 0, 1), (1, 0, 0), (0, 1, 1)),
+                  ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+                  ((1, 0, 1), (1, 1, 0), (0, 1, 0))]),
+    (3, 2, 9, 9, [((0, 0), (0, 0)), ((0, 2), (1, 0)), ((0, 1), (2, 0)),
+                  ((1, 0), (0, 1)), ((1, 2), (1, 1)), ((1, 1), (2, 1)),
+                  ((2, 0), (0, 2)), ((2, 2), (1, 2)), ((2, 1), (2, 2))]),
+], ids=["n3-s3", "n4-s4", "n8-s4", "n9-s9"])
+def test_dps_endomorphism_matrices(p, r, t, s, endos):
+    # the multiplications by the span of 1, tau, ..., tau^(i-1) in
+    # GF(p^j), as matrices on C_p^j: zero first, then product order of
+    # the coefficient vectors
+    assert dps_system(field_make(p, r), t, s).endos == endos
 
 
 def test_dps_systems(dps3, dps4):

@@ -1,10 +1,13 @@
 import itertools
+import math
+import re
 
 import pytest
 from sympy import factorint
 from sympy.combinatorics import Permutation, PermutationGroup
 
 from rdslink.constructions import q8_system_2r
+from rdslink.groups import cyclic, direct_product
 from rdslink.groupring import GroupRingError
 from rdslink.linked import (InverseNotInFamily, LinkedError,
                             NonIntegralBranch, _abelian_invariant_factors,
@@ -89,6 +92,32 @@ def test_associated_group_validation():
         associated_group(3, (0, 1, 2),
                          {(0, 1): 0, (0, 2): 0, (1, 0): 0, (1, 2): 0,
                           (2, 0): 0, (2, 1): 0, (1, 1): 0, (0, 0): 1})
+
+
+@pytest.mark.parametrize("chi, psi, where", [
+    ((0, 5), {}, "chi[1] = 5"),
+    ((1, 0), {(0, 0): 7, (1, 1): 0}, "psi(0, 0) = 7"),
+    ((1, 0), {(0, 0): 1, (1, 1): "x"}, "psi(1, 1) = 'x'"),
+], ids=["chi-out-of-range", "psi-out-of-range", "psi-not-an-int"])
+def test_associated_group_rejects_entries_out_of_range(chi, psi, where):
+    with pytest.raises(LinkedError, match=re.escape(where)):
+        associated_group(2, chi, psi)
+
+
+@pytest.mark.parametrize("orders", [(2, 4), (2, 6), (3, 9), (2, 2, 4),
+                                    (6, 6), (2, 3)],
+                         ids=lambda o: "x".join(f"C{n}" for n in o))
+def test_invariant_factors_of_cyclic_products_against_sympy(orders):
+    G = cyclic(orders[0])
+    for n in orders[1:]:
+        G = direct_product(G, cyclic(n))
+    invs = _abelian_invariant_factors(G)
+    # largest first, each factor dividing the one before it
+    assert all(x % y == 0 for x, y in zip(invs, invs[1:]))
+    assert math.prod(invs) == G.order
+    P = PermutationGroup([Permutation(row) for row in G.table.tolist()])
+    assert sorted(P.abelian_invariants()) == sorted(
+        p ** e for f in invs for p, e in factorint(f).items())
 
 
 def test_psi_commutative_gives_abelian(heis3):
