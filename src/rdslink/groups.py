@@ -1,14 +1,16 @@
 """Concrete finite groups as fully materialized index tables.
 
 Elements are integers 0..v-1 with the identity at index 0.  Every
-group built here carries its v x v int32 multiplication table, so all
-downstream checks are exhaustive exact arithmetic.  Every table is
-audited exactly at every order: a two-sided identity, a right inverse
-in each row, and Light's associativity test over one greedy generating
-set G.gens of at most log2(v) elements.  Heisenberg groups, the
-extraspecial group of order p^3 and exponent p^2, Q8, abelian groups,
-and direct/central products are provided, plus subgroups, the center,
-transversal tests, automorphisms (audited on G.gens) and their orbits.
+group built here carries its v x v uint16 multiplication table (so
+v <= 32,768), and all downstream checks are exhaustive exact
+arithmetic; arithmetic on table entries widens them to int64 first.
+Every table is audited exactly at every order: a two-sided identity, a
+right inverse in each row, and Light's associativity test over one
+irredundant generating set G.gens (in a p-group, one of the minimum
+size).  Heisenberg groups, the extraspecial group of order p^3 and
+exponent p^2, Q8, abelian groups, and direct/central products are
+provided, plus subgroups, the center, transversal tests, automorphisms
+(audited on G.gens) and their orbits.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ import numpy as np
 
 from .ff import Field, is_prime
 
-TABLE_BYTES = 1 << 31  # the largest int32 table a constructor will build
+# the largest table a constructor will build: 2 bytes an entry, so
+# v <= 32,768, and every entry v - 1 fits in uint16
+TABLE_BYTES = 1 << 31
 _ROWS = 64  # table rows per block in from_elements and the audit
 
 
@@ -32,25 +36,38 @@ class GroupError(ValueError):
 def _check_budget(v: int):
     """Raise GroupError, before any v x v allocation, when an order-v
     table would exceed TABLE_BYTES."""
-    if 4 * v * v > TABLE_BYTES:
-        raise GroupError(f"order {v} needs a {4 * v * v:,}-byte table, "
+    if 2 * v * v > TABLE_BYTES:
+        raise GroupError(f"order {v} needs a {2 * v * v:,}-byte table, "
                          f"over the {TABLE_BYTES:,}-byte budget")
 
 
+def _reach(table: np.ndarray, gens: list, reached: np.ndarray):
+    """Extend reached, in place, by right multiplication by gens until
+    it is closed, and return it."""
+    frontier = np.flatnonzero(reached)
+    while frontier.size:
+        image = table[frontier[:, None], gens].ravel()
+        frontier = np.unique(image[~reached[image]])
+        reached[frontier] = True
+    return reached
+
+
 def _generators(table: np.ndarray) -> list:
-    """Greedy generators: the least element not yet reached, then close
-    the reached set under right multiplication by the chosen ones, so
-    every element is a left-bracketed product of them."""
-    reached = np.zeros(table.shape[0], dtype=bool)
-    reached[0] = True
+    """An irredundant generating set: greedily the least element not yet
+    reached, closing the reached set under right multiplication by the
+    chosen ones (so every element is a left-bracketed product of them),
+    then dropped, in turn, each one the others still generate.  In a
+    p-group every irredundant set has the minimum size (Burnside)."""
+    v = table.shape[0]
+    reached = np.arange(v) == 0
     gens = []
     while not reached.all():
         gens.append(int(np.argmin(reached)))
-        frontier, cols = np.flatnonzero(reached), gens[-1:]
-        while frontier.size:
-            image = table[frontier[:, None], cols].ravel()
-            frontier, cols = np.unique(image[~reached[image]]), gens
-            reached[frontier] = True
+        _reach(table, gens, reached)
+    for a in list(gens):
+        rest = [b for b in gens if b != a]
+        if _reach(table, rest, np.arange(v) == 0).all():
+            gens = rest
     return gens
 
 
@@ -96,7 +113,8 @@ def check_integer_cells(cells: list, shape: tuple):
 
 
 def _integer_table(table) -> np.ndarray:
-    """table as a square int32 array, range-checked before narrowing;
+    """table as a square uint16 array: within the byte budget and
+    range-checked before it is narrowed, so no entry can wrap;
     GroupError names the first entry that is not an integer."""
     arr = np.asarray(table)
     if arr.dtype.kind not in "iu" or not isinstance(table, np.ndarray):
@@ -105,9 +123,10 @@ def _integer_table(table) -> np.ndarray:
         check_integer_cells(cells.reshape(-1).tolist(), cells.shape)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not arr.size:
         raise GroupError("multiplication table must be square")
+    _check_budget(len(arr))
     if arr.min() < 0 or arr.max() >= len(arr):
         raise GroupError("table entries out of range")
-    return arr.astype(np.int32, copy=False)
+    return arr.astype(np.uint16, copy=False)
 
 
 def _flat(el):
@@ -121,7 +140,7 @@ class FiniteGroup:
 
     def __init__(self, table, labels=None, name="group", elements=None):
         table = _integer_table(table)
-        self.gens = _audit_table(table)  # generates G, at most log2(v)
+        self.gens = _audit_table(table)  # irredundant, generates G
         self.table = table
         self.order = table.shape[0]
         self.name = name
@@ -141,10 +160,12 @@ class FiniteGroup:
         read flat, an int is one coordinate), listed in row-major order
         of the grid of coordinate ranges, which they fill once; so the
         i-th element has index i and elements[0] must be the identity.
-        The int32 table is filled _ROWS rows at a time: mul(g, h) gets
+        The uint16 table is filled _ROWS rows at a time: mul(g, h) gets
         the block's g-coordinates as arrays along axis 0 and h's
         coordinate i along axis i + 1, and returns the product's
         coordinates, each range-checked and added in at its stride.
+        A coordinate below its range n times its stride stays below v,
+        so uint16 holds every partial sum.
         """
         v = len(elements)
         _check_budget(v)
@@ -159,7 +180,7 @@ class FiniteGroup:
         h = tuple(np.arange(n).reshape((n,) + (1,) * (k - 1 - i))
                   for i, n in enumerate(shape))
         strides = [math.prod(shape[i + 1:]) for i in range(k)]
-        table = np.zeros((v, v), dtype=np.int32)
+        table = np.zeros((v, v), dtype=np.uint16)
         for s in range(0, v, _ROWS):
             g = tuple(c.reshape((-1,) + (1,) * k)
                       for c in coords[s:s + _ROWS].T)
@@ -169,7 +190,7 @@ class FiniteGroup:
                 if c.dtype.kind not in "iu" or c.min() < 0 or c.max() >= n:
                     raise GroupError("product leaves the coordinate grid: "
                                      f"coordinate {i} outside 0..{n - 1}")
-                block += c.astype(np.int32, copy=False) * strides[i]
+                block += c.astype(np.uint16, copy=False) * strides[i]
         labels = [(label or str)(el) for el in elements]
         return cls(table, labels=labels, name=name, elements=list(elements))
 
@@ -475,7 +496,8 @@ def central_product(G1: FiniteGroup, G2: FiniteGroup,
     t1, t2 = G1.table, G2.table
     # pair (a, b) has the int64 key a*v2 + b; its D-coset's least pair
     # key is the coset's representative
-    keys = t1[:, zs].astype(np.int64)[:, None, :] * v2 + t2[:, ws][None]
+    keys = (t1[:, zs].astype(np.int64)[:, None, :] * v2
+            + t2[:, ws].astype(np.int64)[None])
     rep_of = keys.min(axis=2).reshape(-1)
     reps = np.unique(rep_of)
     idx_of_pair = np.searchsorted(reps, rep_of)
@@ -483,8 +505,9 @@ def central_product(G1: FiniteGroup, G2: FiniteGroup,
     # element i is the coset of the pair (a[i], b[i])
     a, b = np.divmod(reps, v2)
     G = FiniteGroup.from_elements(
-        range(v), lambda g, h: (idx_of_pair[t1[a[g[0]], a[h[0]]] * v2
-                                            + t2[b[g[0]], b[h[0]]]],),
+        range(v), lambda g, h: (idx_of_pair[
+            t1[a[g[0]], a[h[0]]].astype(np.int64) * v2
+            + t2[b[g[0]], b[h[0]]].astype(np.int64)],),
         name=f"{G1.name}*{G2.name}",
         label=lambda i: f"[{G1.labels[a[i]]}.{G2.labels[b[i]]}]")
     embed1 = idx_of_pair[np.arange(v1) * v2]

@@ -1,7 +1,8 @@
 """Every function and method of the library has a caller that is not a
 test: code in src/rdslink outside its own definition, the benchmark in
 perfbench/, or the public names in rdslink.__all__.  A helper only the
-tests call is dead weight the tests keep alive."""
+tests call is dead weight the tests keep alive.  Arithmetic on the
+entries of a uint16 Cayley table must widen them first."""
 
 import ast
 from collections import Counter
@@ -84,3 +85,73 @@ def _dead_locals():
 
 def test_every_local_is_read():
     assert _dead_locals() == []
+
+
+ARITHMETIC = (ast.Add, ast.Sub, ast.Mult, ast.FloorDiv, ast.Mod,
+              ast.LShift, ast.Pow)
+
+
+def _is_table(node, tables):
+    """X.table, or a name bound to one (or called table)."""
+    return (isinstance(node, ast.Attribute) and node.attr == "table") or (
+        isinstance(node, ast.Name) and node.id in tables)
+
+
+def _unwidened(node, tables):
+    """Whether node holds uint16 table entries: a table, a subscript or
+    transpose of one, or a method's result on one other than
+    astype(np.int64)."""
+    if _is_table(node, tables):
+        return True
+    if isinstance(node, ast.Subscript) or (
+            isinstance(node, ast.Attribute) and node.attr == "T"):
+        return _unwidened(node.value, tables)
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        widened = node.func.attr == "astype" and \
+            [ast.unparse(a) for a in node.args] == ["np.int64"]
+        return not widened and _unwidened(node.func.value, tables)
+    return False
+
+
+def _table_names(fn):
+    """table, and the names fn binds to a table, alone or in a tuple
+    assignment such as t1, t2 = G1.table, G2.table."""
+    names = {"table"}
+    for node in ast.walk(fn):
+        if not isinstance(node, ast.Assign):
+            continue
+        for target in node.targets:
+            pairs = [(target, node.value)]
+            if isinstance(target, ast.Tuple) and \
+                    isinstance(node.value, ast.Tuple):
+                pairs = zip(target.elts, node.value.elts)
+            names |= {t.id for t, value in pairs
+                      if isinstance(t, ast.Name) and _is_table(value, names)}
+    return names
+
+
+def _unwidened_arithmetic():
+    """Arithmetic on table entries that are not widened first: uint16
+    wraps silently past 65,535, so t[a, b] * v must read
+    t[a, b].astype(np.int64) * v or int(t[a, b]) * v."""
+    out = set()
+    for path in SOURCES:
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            tables = _table_names(fn)
+            for node in ast.walk(fn):
+                if isinstance(node, ast.BinOp):
+                    operands = (node.left, node.right)
+                elif isinstance(node, ast.AugAssign):
+                    operands = (node.target, node.value)
+                else:
+                    continue
+                if isinstance(node.op, ARITHMETIC) and any(
+                        _unwidened(x, tables) for x in operands):
+                    out.add(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    return sorted(out)
+
+
+def test_table_entries_are_widened_before_arithmetic():
+    assert _unwidened_arithmetic() == []

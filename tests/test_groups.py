@@ -9,9 +9,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from rdslink.constructions import q8_system_2r, theorem_1_2_rds
 from rdslink.ff import field_make
 from rdslink.groups import (TABLE_BYTES, Automorphism, FiniteGroup,
-                            GroupError, Subgroup,
+                            GroupError, Subgroup, _check_budget,
                             automorphism_from_images, center,
                             central_product, cyclic, direct_product,
                             elementary_abelian, extraspecial_mp3,
@@ -22,7 +23,7 @@ from rdslink.rds import dev
 def test_cyclic():
     G = cyclic(6)
     assert G.order == 6
-    assert G.table.dtype == np.int32
+    assert G.table.dtype == np.uint16
     assert G.element_orders() == [1, 6, 3, 2, 3, 6]
     assert G.is_abelian()
     assert G.exponent() == 6
@@ -76,9 +77,13 @@ def test_audit_rejects_bool_entry(table, where):
 @pytest.mark.parametrize("table", [
     [[0, 1], [1, 2 ** 32]], [[0, 1], [1, -2 ** 32]], [[0, 1], [1, 2 ** 70]],
     np.array([[0, 1], [1, 2 ** 32]], dtype=np.int64),
-    np.array([[0, 1], [1, 2 ** 32]], dtype=np.uint64)])
+    np.array([[0, 1], [1, 2 ** 32]], dtype=np.uint64),
+    [[0, 1], [1, 2 ** 16]], [[0, 1], [1, 2 ** 16 + 1]],
+    np.array([[0, 1], [1, 2 ** 16]], dtype=np.int64),
+    np.array([[0, 1], [2 ** 16 + 1, 2 ** 16]], dtype=np.int32)])
 def test_audit_range_checks_before_narrowing(table):
-    # 2**32 would wrap to 0 in int32 and make a valid C2 table
+    # in uint16, 2**16 and 2**32 would wrap to 0 and 2**16 + 1 to 1,
+    # each making a valid C2 table
     with pytest.raises(GroupError, match="out of range"):
         FiniteGroup(table)
 
@@ -128,11 +133,10 @@ def test_light_agrees_with_brute_force_on_every_row_swap(make):
 
 def _generated(G, gens):
     reached = {0}
-    frontier = [0]
+    frontier = {0}
     while frontier:
-        frontier = [G.mul(g, s) for g in frontier for s in gens
-                    if G.mul(g, s) not in reached]
-        reached.update(frontier)
+        frontier = {G.mul(g, s) for g in frontier for s in gens} - reached
+        reached |= frontier
     return reached
 
 
@@ -170,6 +174,27 @@ def test_gens_generate_and_are_few(name):
     assert center(G).members == tuple(full)
 
 
+IRREDUNDANT = {  # a p-group's irredundant generating sets all have size d
+    "M27": (lambda: extraspecial_mp3(3), 2),
+    "Q8": (quaternion8, 2),
+    "Heis(9)": (lambda: heisenberg(field_make(3, 2), 1), 4),
+    "thm12(3,3)": (lambda: theorem_1_2_rds(3, 3)[0], 6),
+    "Q8^o4": (lambda: q8_system_2r(4).group, 8),
+    "C2^12": (lambda: elementary_abelian(2, 12), 12),
+}
+
+
+@pytest.mark.parametrize("name", list(IRREDUNDANT))
+def test_gens_are_irredundant(name):
+    make, d = IRREDUNDANT[name]
+    G = make()
+    assert len(G.gens) == d
+    assert _generated(G, G.gens) == set(range(G.order))
+    for a in G.gens:
+        rest = [b for b in G.gens if b != a]
+        assert _generated(G, rest) != set(range(G.order)), a
+
+
 def test_automorphism_witness_is_a_generator():
     G = extraspecial_mp3(3)
     perm = np.arange(G.order)
@@ -198,7 +223,7 @@ def test_automorphism_agrees_with_all_pairs(make):
 
 
 def test_table_budget_refuses_before_allocating():
-    # a missing check would allocate about 14 GB, or list about 10**9
+    # a missing check would allocate about 7 GB, or list about 10**9
     # elements: cap the child's address space so that it fails fast
     code = (
         "import resource\n"
@@ -225,13 +250,47 @@ def test_table_budget_refuses_before_allocating():
                               "OPENBLAS_NUM_THREADS": "1"})
     assert out.returncode == 0, out.stderr
     for v in (59049, 10 ** 9, 2 ** 34, 1009 ** 3, 2 ** 32):
-        need = 4 * v * v
+        need = 2 * v * v
         assert need > TABLE_BYTES
         assert f"order {v} needs a {need:,}-byte table" in out.stdout
     assert out.stdout.endswith("exit 1\n")
     assert out.stderr == (f"error: GroupError: order {1009 ** 3} needs a "
-                          f"{4 * 1009 ** 6:,}-byte table, over the "
+                          f"{2 * 1009 ** 6:,}-byte table, over the "
                           f"{TABLE_BYTES:,}-byte budget\n")
+
+
+def test_budget_admits_order_32768_and_refuses_32769():
+    # 2 bytes an entry: 2 * 32768**2 is TABLE_BYTES exactly
+    tracemalloc.start()
+    try:
+        _check_budget(32768)
+        need = f"order 32769 needs a {2 * 32769 ** 2:,}-byte table"
+        with pytest.raises(GroupError, match=need):
+            _check_budget(32769)
+        # a user table is refused before it is scanned or narrowed
+        with pytest.raises(GroupError, match=need):
+            FiniteGroup(np.broadcast_to(np.int64(0), (32769, 32769)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("make1, v2", [
+    (lambda: cyclic(300), 300),
+    (lambda: direct_product(cyclic(128), cyclic(32)), 32)],
+    ids=["C300", "C128xC32"])
+def test_central_product_widens_before_keys_pass_uint16(make1, v2):
+    # G1 * C_v2 amalgamating Z1 = {0..v2-1} with all of C_v2 is G1,
+    # table and all.  Pair keys a * v2 + b reach 89,999 (C300) in the
+    # coset search and 130,048 + b (C128xC32) in the product rule, where
+    # uint16 would wrap
+    G1, G2 = make1(), cyclic(v2)
+    Z1 = Subgroup(G1, tuple(range(v2)))
+    Z2 = Subgroup(G2, tuple(range(v2)))
+    G = central_product(G1, G2, Z1, Z2).group
+    assert G.element_orders() == G1.element_orders()
+    assert np.array_equal(G.table, G1.table)
 
 
 def test_from_elements_peak_is_near_its_table():
