@@ -495,10 +495,13 @@ def central_product(G1: FiniteGroup, G2: FiniteGroup,
     ws = G2.inv[[theta[z] for z in zs]]  # D = {(z, theta(z)^-1)}
     t1, t2 = G1.table, G2.table
     # pair (a, b) has the int64 key a*v2 + b; its D-coset's least pair
-    # key is the coset's representative
-    keys = (t1[:, zs].astype(np.int64)[:, None, :] * v2
-            + t2[:, ws].astype(np.int64)[None])
-    rep_of = keys.min(axis=2).reshape(-1)
+    # key is the coset's representative, a running minimum over D that
+    # holds v1*v2 keys at a time (e is in D: it starts from the pair)
+    rep_of = np.arange(v1 * v2, dtype=np.int64).reshape(v1, v2)
+    for z, w in zip(zs, ws):
+        np.minimum(rep_of, t1[:, z].astype(np.int64)[:, None] * v2
+                   + t2[:, w].astype(np.int64), out=rep_of)
+    rep_of = rep_of.reshape(-1)
     reps = np.unique(rep_of)
     idx_of_pair = np.searchsorted(reps, rep_of)
 

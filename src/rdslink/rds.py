@@ -46,6 +46,16 @@ class WrongDiameter(RdsError):
     pass
 
 
+class NotTranslationInvariant(RdsError):
+    """adj[x.g, y.g] != adj[x, y] for the generator g and the pair
+    (x, y): the graph is not a Cayley graph on the group given."""
+
+    def __init__(self, message, generator=None, pair=None):
+        super().__init__(message)
+        self.generator = generator
+        self.pair = pair
+
+
 @dataclass
 class RdsCertificate:
     group: FiniteGroup
@@ -304,22 +314,53 @@ def _matmul(x, y, out):
         np.matmul(x, y[:, c:c + _COLUMNS], out=out[:, c:c + _COLUMNS])
 
 
-def certify_drg3(adj: np.ndarray):
-    """Certify a diameter-3 distance-regular graph from every base vertex.
+def certify_drg3(adj: np.ndarray, group: FiniteGroup | None = None):
+    """Certify a diameter-3 distance-regular graph.
 
     Returns (IntersectionArray, antipodal classes) where the classes
-    are the equivalence classes of the distance-0-or-3 relation; raises
-    if distances exceed 3, the graph is disconnected, the intersection
-    numbers vary, or the distance-3 relation is not an equivalence.
+    are the equivalence classes of the distance-0-or-3 relation, each
+    once, listed by least member; raises if distances exceed 3, the
+    graph is disconnected, the intersection numbers vary, or the
+    distance-3 relation is not an equivalence.  WrongDiameter takes
+    precedence over NotDistanceRegular.
 
-    One breadth-first search runs from all bases at once: row u of the
-    int8 matrix dist holds the distances from base u, and step d
-    multiplies the 0/1 matrix of layer d by the adjacency matrix.
+    Without group, any graph: the search runs from every base vertex
+    at once, in O(v^3) time and about four v x v matrices (see
+    _drg3_every_base).
+
+    With group G, adj must be a Cayley graph on G's elements, such as
+    cayley_adjacency(G, S), and the search runs from one base.  Each
+    right translation x -> x.g by a generator g in G.gens is first
+    checked to be an automorphism, adj[x.g, y.g] == adj[x, y] for every
+    x, y (NotTranslationInvariant otherwise).  G.gens generates G, so
+    x -> x.w is an automorphism carrying e to w for every w: the graph
+    is vertex-transitive, and the distances and intersection numbers
+    seen from e are those seen from every base.  One breadth-first
+    search from e then certifies the array, with witnesses (0, w).
+    d(x, y) = d(e, y.x^-1), so the distance-3 relation is an
+    equivalence exactly when C = {w : d(e, w) in {0, 3}} is closed
+    under the product, and its classes are the right cosets C.w.  The
+    cost is |G.gens| v^2 table-indexed cells, plus v^2 each for the
+    symmetry check and the search; nothing is sampled and no v x v
+    float matrix is built.
     """
     adj = np.asarray(adj, dtype=bool)
-    v = adj.shape[0]
     if adj.diagonal().any() or not np.array_equal(adj, adj.T):
         raise RdsError("adjacency must be symmetric and loop-free")
+    if group is None:
+        return _drg3_every_base(adj)
+    if adj.shape[0] != group.order:
+        raise RdsError(f"adjacency has {adj.shape[0]} vertices but "
+                       f"{group.name} has order {group.order}")
+    return _drg3_one_base(adj, group)
+
+
+def _drg3_every_base(adj: np.ndarray):
+    """certify_drg3 for any graph.  One breadth-first search runs from
+    all bases at once: row u of the int8 matrix dist holds the
+    distances from base u, and step d multiplies the 0/1 matrix of
+    layer d by the adjacency matrix (float32)."""
+    v = adj.shape[0]
     A = adj.astype(np.float32)
     dist = np.full((v, v), -1, dtype=np.int8)
     np.fill_diagonal(dist, 0)
@@ -329,7 +370,7 @@ def certify_drg3(adj: np.ndarray):
     for d in range(4):
         # counts[u, w] = neighbours of w at distance d from base u.  The
         # float32 sums are exact: a count is at most v, and v < 2**24 for
-        # any v x v matrix that fits in memory (group tables stop at 65536)
+        # any v x v matrix that fits in memory (group tables stop at 32768)
         _matmul(layer, A, counts)
         new = (counts > 0) & (dist < 0)
         dist[new] = d + 1
@@ -354,9 +395,7 @@ def certify_drg3(adj: np.ndarray):
     # 4 or unreachable); this takes precedence over a varying count
     wrong = np.flatnonzero((dist < 0).any(axis=1) | (dist.max(axis=1) != 3))
     if wrong.size:
-        u = int(wrong[0])
-        ecc = "over 4" if (dist[u] < 0).any() else int(dist[u].max())
-        raise WrongDiameter(f"base {u} has eccentricity {ecc}, expected 3")
+        raise _wrong_diameter(int(wrong[0]), dist[wrong[0]])
     if varies is not None:
         raise varies
     arr = IntersectionArray(nums["b_0"], nums["b_1"], nums["b_2"],
@@ -371,6 +410,59 @@ def certify_drg3(adj: np.ndarray):
     # each class once, listed by its least member
     reps = np.unique(rel.argmax(axis=1))
     return arr, [tuple(np.flatnonzero(row).tolist()) for row in rel[reps]]
+
+
+def _drg3_one_base(adj: np.ndarray, G: FiniteGroup):
+    """certify_drg3 for a Cayley graph on G, from the base e = 0."""
+    t = G.table
+    for g in G.gens:
+        right = t[:, g].astype(np.intp)  # x -> x.g
+        bad = np.take(adj[right], right, axis=1) != adj
+        if bad.any():
+            x, y = divmod(int(bad.argmax()), len(adj))
+            raise NotTranslationInvariant(
+                f"right translation by generator {g} is no automorphism: "
+                f"adj[{x}, {y}] = {bool(adj[x, y])} but "
+                f"adj[{int(right[x])}, {int(right[y])}] = "
+                f"{bool(adj[right[x], right[y]])}", generator=g, pair=(x, y))
+    dist = np.full(adj.shape[0], -1, dtype=np.int8)
+    dist[0] = 0
+    near = []  # near[d][w] = neighbours of w at distance d from e
+    for d in range(4):
+        near.append(adj[dist == d].sum(axis=0))
+        dist[(near[d] > 0) & (dist < 0)] = d + 1
+    if (dist < 0).any() or dist.max() != 3:
+        raise _wrong_diameter(0, dist)
+    nums = {}
+    for i in (1, 2, 3):
+        # c_i on layer i, b_(i-1) on layer i - 1
+        for key, layer, d in ((f"c_{i}", i, i - 1), (f"b_{i - 1}", i - 1, i)):
+            ws = np.flatnonzero(dist == layer)
+            counts = near[d][ws]
+            nums[key] = int(counts[0])
+            off = ws[counts != counts[0]]
+            if off.size:
+                w = int(off[0])
+                raise NotDistanceRegular(
+                    f"{key} is {int(near[d][w])} at base 0, vertex {w} "
+                    f"but {nums[key]} at base 0, vertex {int(ws[0])}",
+                    witness=(0, w))
+    arr = IntersectionArray(nums["b_0"], nums["b_1"], nums["b_2"],
+                            nums["c_1"], nums["c_2"], nums["c_3"])
+    # d(x, y) = d(e, y.x^-1): distance 3 is an equivalence iff C is
+    # closed, and its classes are the right cosets C.w
+    in_c = (dist == 0) | (dist == 3)
+    C = np.flatnonzero(in_c)
+    if not in_c[t[np.ix_(C, C)]].all():
+        raise RdsError("distance-3 relation is not an equivalence")
+    return arr, dev(G, C)
+
+
+def _wrong_diameter(u: int, row: np.ndarray) -> WrongDiameter:
+    """The error for base u, whose distances are row (-1 is beyond 4 or
+    unreachable)."""
+    ecc = "over 4" if (row < 0).any() else int(row.max())
+    return WrongDiameter(f"base {u} has eccentricity {ecc}, expected 3")
 
 
 def cayley_adjacency(G: FiniteGroup, S) -> np.ndarray:
@@ -388,7 +480,7 @@ def cayley_adjacency(G: FiniteGroup, S) -> np.ndarray:
 def cayley_drg_check(G: FiniteGroup, S):
     """Certify Cay(G, S) as a diameter-3 antipodal DRG; returns the
     intersection array and the distance-3 classes."""
-    return certify_drg3(cayley_adjacency(G, S))
+    return certify_drg3(cayley_adjacency(G, S), G)
 
 
 def symplectic_standard(F: Field, r: int):

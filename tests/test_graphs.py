@@ -1,5 +1,6 @@
 """The graph layer against networkx, an independent implementation of
-distance-regularity, and thas_somma against its definition."""
+distance-regularity, the one-base path for Cayley graphs against the
+every-base path, and thas_somma against its definition."""
 
 import itertools
 
@@ -7,9 +8,12 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from rdslink.constructions import heisenberg_system
 from rdslink.ff import field_make
-from rdslink.rds import (NotDistanceRegular, cayley_adjacency, certify_drg3,
-                         thas_somma)
+from rdslink.groups import cyclic, elementary_abelian
+from rdslink.rds import (NotDistanceRegular, NotTranslationInvariant,
+                         RdsError, WrongDiameter, cayley_adjacency,
+                         cayley_drg_check, certify_drg3, thas_somma)
 
 
 def _cycle(v):
@@ -24,8 +28,12 @@ def _cube3():
                      for u in range(8)])
 
 
+def _heis_cayley(hs):
+    return hs.group, hs.orbit_sets[0]  # G, X_0^#
+
+
 def _heis_graph(hs):
-    return cayley_adjacency(hs.group, hs.orbit_sets[0])  # Cay(G, X_0^#)
+    return cayley_adjacency(*_heis_cayley(hs))
 
 
 GRAPHS = {  # name -> adjacency, given pytest's fixture lookup
@@ -65,6 +73,93 @@ def test_every_edge_flip_is_rejected(heis3):
         assert 0 <= base < v and 0 <= vertex < v
         assert not nx.is_distance_regular(
             nx.from_numpy_array(flipped.astype(int)))
+
+
+CAYLEY = {  # name -> (group, connection set), given pytest's fixtures
+    "heis3": lambda fixture: _heis_cayley(fixture("heis3")),
+    "heis5": lambda fixture: _heis_cayley(fixture("heis5")),
+    "heis7": lambda _: _heis_cayley(heisenberg_system(field_make(7))),
+    "heis9": lambda _: _heis_cayley(heisenberg_system(field_make(3, 2))),
+    "cube3": lambda _: (elementary_abelian(2, 3), (1, 2, 4)),
+    "c6": lambda _: (cyclic(6), (1, 5)),
+}
+
+
+@pytest.mark.parametrize("name", list(CAYLEY))
+def test_one_base_agrees_with_every_base(name, request):
+    G, S = CAYLEY[name](request.getfixturevalue)
+    adj = cayley_adjacency(G, S)
+    every = certify_drg3(adj)
+    # the same array, and the same classes in the same order
+    assert certify_drg3(adj, G) == every
+    assert cayley_drg_check(G, S) == every
+
+
+@pytest.mark.parametrize("make, S, error", [
+    (lambda: cyclic(8), (1, 7), WrongDiameter),  # octagon
+    (lambda: elementary_abelian(2, 4), (1, 2, 4, 8), WrongDiameter),  # 4-cube
+    # heptagon: d(0, 3) = d(0, 4) = 3 but d(3, 4) = 1
+    (lambda: cyclic(7), (1, 6), RdsError),
+    # Moebius ladder: c_2 is 1 at vertex 2 and 2 at vertex 4
+    (lambda: cyclic(10), (1, 5, 9), NotDistanceRegular)],
+    ids=["octagon", "cube4", "heptagon", "ladder"])
+def test_one_base_fails_as_every_base_does(make, S, error):
+    G = make()
+    adj = cayley_adjacency(G, S)
+    with pytest.raises(RdsError) as every:
+        certify_drg3(adj)
+    with pytest.raises(RdsError) as one:
+        certify_drg3(adj, G)
+    assert type(one.value) is type(every.value) is error
+    if error is NotDistanceRegular:
+        base, vertex = one.value.witness
+        assert base == 0 and 0 <= vertex < G.order
+
+
+def test_every_edge_flip_breaks_translation_invariance(heis3):
+    # heis3 has odd order, so no involution: the flipped pair {u, w} is
+    # carried by x -> x.g onto another pair for every generator g
+    G, t = heis3.group, heis3.group.table
+    adj = _heis_graph(heis3)
+    pairs = list(itertools.combinations(range(G.order), 2))
+    assert len(pairs) == 351
+    for u, w in pairs:
+        flipped = adj.copy()
+        flipped[u, w] = flipped[w, u] = not adj[u, w]
+        with pytest.raises(NotTranslationInvariant) as ei:
+            certify_drg3(flipped, G)
+        g, (x, y) = ei.value.generator, ei.value.pair
+        assert g in G.gens
+        assert flipped[x, y] != flipped[t[x, g], t[y, g]]
+
+
+def _generated(G, gens):
+    reached, frontier = {0}, {0}
+    while frontier:
+        frontier = {int(G.table[x, g]) for x in frontier for g in gens}
+        frontier -= reached
+        reached |= frontier
+    return sorted(reached)
+
+
+def test_every_generator_is_checked(heis3):
+    # edges {x, s.x} for x in the proper subgroup H that the other
+    # generators generate, s in H: only the translation by g moves them
+    for G in (heis3.group, elementary_abelian(2, 3)):
+        t = G.table
+        for k, g in enumerate(G.gens):
+            H = _generated(G, G.gens[:k] + G.gens[k + 1:])
+            adj = np.zeros((G.order, G.order), dtype=bool)
+            adj[H, t[H[1], H]] = True
+            adj |= adj.T
+            with pytest.raises(NotTranslationInvariant) as ei:
+                certify_drg3(adj, G)
+            assert ei.value.generator == g
+
+
+def test_one_base_needs_a_group_of_the_graph_order(heis3):
+    with pytest.raises(RdsError, match="27 vertices"):
+        certify_drg3(_heis_graph(heis3), cyclic(26))
 
 
 def test_thas_somma_matches_definition():

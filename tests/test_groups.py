@@ -276,11 +276,11 @@ def test_budget_admits_order_32768_and_refuses_32769():
     assert peak < 1 << 20
 
 
-@pytest.mark.parametrize("make1, v2", [
-    (lambda: cyclic(300), 300),
-    (lambda: direct_product(cyclic(128), cyclic(32)), 32)],
+@pytest.mark.parametrize("make1, v2, peak_mb", [
+    (lambda: cyclic(300), 300, 8),
+    (lambda: direct_product(cyclic(128), cyclic(32)), 32, 48)],
     ids=["C300", "C128xC32"])
-def test_central_product_widens_before_keys_pass_uint16(make1, v2):
+def test_central_product_widens_before_keys_pass_uint16(make1, v2, peak_mb):
     # G1 * C_v2 amalgamating Z1 = {0..v2-1} with all of C_v2 is G1,
     # table and all.  Pair keys a * v2 + b reach 89,999 (C300) in the
     # coset search and 130,048 + b (C128xC32) in the product rule, where
@@ -288,7 +288,16 @@ def test_central_product_widens_before_keys_pass_uint16(make1, v2):
     G1, G2 = make1(), cyclic(v2)
     Z1 = Subgroup(G1, tuple(range(v2)))
     Z2 = Subgroup(G2, tuple(range(v2)))
-    G = central_product(G1, G2, Z1, Z2).group
+    # the coset search keeps v1 * v2 keys at a time; keeping all
+    # v1 * v2 * |Z| peaked at 209 MiB (C300) and at 73 MiB beside the
+    # 32 MiB table (C128xC32)
+    tracemalloc.start()
+    try:
+        G = central_product(G1, G2, Z1, Z2).group
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < peak_mb * 2 ** 20
     assert G.element_orders() == G1.element_orders()
     assert np.array_equal(G.table, G1.table)
 
