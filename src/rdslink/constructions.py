@@ -147,22 +147,20 @@ def heisenberg_system(F: Field, eps: int | None = None) -> HeisenbergSystem:
     return HeisenbergSystem(F, G, eps, delta, Z, P, orbit_sets, sets, cert)
 
 
-def _iterated_linked_product(base_group, base_center, base_cert, r,
-                             f=None):
-    """Central-product r copies of a base system, linking with f = id.
+def _iterated_product(cert, base_cert, r, product):
+    """Multiply cert by r - 1 copies of base_cert with product
+    (rds_product or linked_product), each over the central product that
+    amalgamates their forbidden subgroups; returns the last certificate.
 
     Each step after the first amalgamates along the previous one: the
-    center it built is the base center's image under embed2."""
-    G_cur, Z_cur, cert_cur = base_group, base_center, base_cert
-    theta = None
+    subgroup it built is base_cert.N's image under embed2."""
+    Z, theta = base_cert.N, None
     for _ in range(r - 1):
-        cp = central_product(G_cur, base_group, Z_cur, base_center,
+        cp = central_product(cert.group, base_cert.group, cert.N, Z,
                              theta=theta)
-        cert_cur = linked_product(cp.group, cp.embed1, cp.embed2,
-                                  cert_cur, base_cert, f=f)
-        G_cur, Z_cur = cp.group, cert_cur.N
-        theta = {int(cp.embed2[z]): z for z in base_center.members}
-    return G_cur, cert_cur
+        cert = product(cp, cert, base_cert)
+        theta = {int(cp.embed2[z]): z for z in Z.members}
+    return cert
 
 
 def heisenberg_system_2r(F: Field, r: int,
@@ -171,10 +169,8 @@ def heisenberg_system_2r(F: Field, r: int,
     assembled by iterated products over central products (f = id)."""
     if r < 1:
         raise ConstructionError("r must be >= 1")
-    base = heisenberg_system(F, eps=eps)
-    _, cert = _iterated_linked_product(base.group, base.center,
-                                      base.certificate, r)
-    return cert
+    base = heisenberg_system(F, eps=eps).certificate
+    return _iterated_product(base, base, r, linked_product)
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +340,7 @@ def q8_system_2r(r: int) -> LinkedCertificate:
     if r < 1:
         raise ConstructionError("r must be >= 1")
     base = q8_system()
-    G = base.group
-    _, cert = _iterated_linked_product(G, center(G), base, r)
-    return cert
+    return _iterated_product(base, base, r, linked_product)
 
 
 # ---------------------------------------------------------------------------
@@ -455,27 +449,16 @@ def theorem_1_2_rds(p: int, r: int):
     if r < 1:
         raise ConstructionError("r must be >= 1")
     es = extraspecial_rds(p)
-    G_cur = es.group
-    Z_cur = es.Z
-    X_cur = es.Y_certs[0].X  # Y_0 = X_0 + Y, reversible hence i-commuting
-
+    cert = es.Y_certs[0]  # Y_0 = X_0 + Y, reversible hence i-commuting
     if r > 1:
-        F = field_make(p)
-        hs = heisenberg_system(F)
-        X0 = hs.sets[0]
-        theta = None  # later steps amalgamate along the previous one
-        for _ in range(r - 1):
-            cp = central_product(G_cur, hs.group, Z_cur, hs.center,
-                                 theta=theta)
-            X_cur, cert = rds_product(cp.group, cp.embed1, cp.embed2,
-                                      X_cur, X0)
-            G_cur, Z_cur = cp.group, cert.N
-            theta = {int(cp.embed2[z]): z for z in hs.center.members}
-    cert = verify_rds(G_cur, X_cur, Z_cur)
+        hs = heisenberg_system(field_make(p))
+        # member_certs[0] certifies X_0 relative to the center
+        cert = _iterated_product(cert, hs.certificate.member_certs[0], r,
+                                 rds_product)
     expect = (p ** (2 * r), p, p ** (2 * r), p ** (2 * r - 1))
     if cert.parameters != expect:
         raise ConstructionError(
             f"parameters {cert.parameters} differ from {expect}")
-    if G_cur.exponent() != p * p:
+    if cert.group.exponent() != p * p:
         raise ConstructionError("ambient group does not have exponent p^2")
-    return G_cur, X_cur, cert
+    return cert.group, cert.X, cert

@@ -245,6 +245,21 @@ class Subgroup:
         return g in set(self.members)
 
 
+def _check_homomorphism(G: FiniteGroup, H: FiniteGroup, phi: np.ndarray,
+                        what: str):
+    """Raise GroupError unless g -> phi[g] is a homomorphism G -> H.
+    phi(g s) = phi(g) phi(s) for every g and generator s in G.gens gives
+    phi(g w) = phi(g) phi(w) for every word w, by induction on w; that
+    is |G.gens| |G| cells."""
+    gens = G.gens
+    bad = np.argwhere(phi[G.table[:, gens]]
+                      != H.table[np.ix_(phi, phi[gens])])
+    if bad.size:
+        g, i = bad[0]
+        raise GroupError(f"{what} is not a homomorphism at pair "
+                         f"({g},{gens[i]})")
+
+
 @dataclass(frozen=True)
 class Automorphism:
     group: FiniteGroup
@@ -260,13 +275,7 @@ class Automorphism:
         object.__setattr__(self, "perm", perm)
         if perm[0] != 0:
             raise GroupError("automorphism must fix the identity")
-        # phi(g s) = phi(g) phi(s) for every g and generator s gives
-        # phi(g w) = phi(g) phi(w) for every word w, by induction on w
-        t, gens = self.group.table, self.group.gens
-        bad = np.argwhere(perm[t[:, gens]] != t[np.ix_(perm, perm[gens])])
-        if bad.size:
-            g, i = bad[0]
-            raise GroupError(f"not a homomorphism at pair ({g},{gens[i]})")
+        _check_homomorphism(self.group, self.group, perm, "automorphism")
 
     def __call__(self, g: int) -> int:
         return int(self.perm[g])
@@ -454,6 +463,7 @@ def orbits(G: FiniteGroup, autos):
 @dataclass
 class CentralProduct:
     group: FiniteGroup
+    factors: tuple  # (G1, G2)
     embed1: np.ndarray  # index map G1 -> group
     embed2: np.ndarray  # index map G2 -> group
     amalgamated: Subgroup  # image of Z1 = image of Z2 in group
@@ -475,7 +485,9 @@ def central_product(G1: FiniteGroup, G2: FiniteGroup,
     """(G1 x G2) / D with D = {(z, theta(z)^-1) : z in Z1}.
 
     Z_i must be central in G_i and theta an isomorphism Z1 -> Z2
-    (default: match elements in enumeration order, then verify).
+    (default: match elements in enumeration order, then verify).  Each
+    embedding is audited as an injective homomorphism on G_i.gens, and
+    the embedded copies must commute and meet in the amalgamated one.
     """
     # z is central iff its row of the table equals its column
     for i, Gi, Zi in ((1, G1, Z1), (2, G2, Z2)):
@@ -515,6 +527,10 @@ def central_product(G1: FiniteGroup, G2: FiniteGroup,
         label=lambda i: f"[{G1.labels[a[i]]}.{G2.labels[b[i]]}]")
     embed1 = idx_of_pair[np.arange(v1) * v2]
     embed2 = idx_of_pair[:v2]
+    for i, Gi, emb in ((1, G1, embed1), (2, G2, embed2)):
+        if np.unique(emb).size != emb.size:
+            raise GroupError(f"embed{i} is not injective")
+        _check_homomorphism(Gi, G, emb, f"embed{i}")
     amalg = Subgroup(G, tuple(int(embed1[z]) for z in zs))
     # the embedded copies must commute elementwise and intersect in amalg
     if set(embed1.tolist()) & set(embed2.tolist()) != set(amalg.members):
@@ -522,4 +538,4 @@ def central_product(G1: FiniteGroup, G2: FiniteGroup,
     if not np.array_equal(G.table[np.ix_(embed1, embed2)],
                           G.table[np.ix_(embed2, embed1)].T):
         raise GroupError("embedded factors do not commute")
-    return CentralProduct(G, embed1, embed2, amalg)
+    return CentralProduct(G, (G1, G2), embed1, embed2, amalg)

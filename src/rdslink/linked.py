@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ff import is_prime
-from .groups import FiniteGroup, Subgroup, Automorphism
+from .groups import CentralProduct, FiniteGroup, Subgroup, Automorphism
 from .groupring import GroupRingElement
-from .rds import RdsError, verify_rds
+from .rds import product_sets, verify_rds
 
 
 class LinkedError(ValueError):
@@ -277,13 +277,15 @@ def associated_group(s: int, chi, psi) -> AssociatedGroup:
 # product of linked systems
 
 
-def linked_product(G: FiniteGroup, emb1, emb2,
-                   L1: LinkedCertificate, L2: LinkedCertificate,
-                   f=None):
-    """{X_alpha Y_f(alpha)} over a central product, re-verified from scratch.
+def linked_product(cp: CentralProduct, L1: LinkedCertificate,
+                   L2: LinkedCertificate, f=None) -> LinkedCertificate:
+    """{X_alpha Y_f(alpha)} over the central product cp, re-verified
+    from scratch relative to N = cp.amalgamated.
 
-    f must fix infinity and be an automorphism of the shared associated
-    group (default: identity).  The realized (mu, nu) is whatever the
+    L1 and L2 are systems over the factors G1 and G2 of cp whose
+    forbidden subgroups embed onto N (see rds.product_sets).  f must fix
+    infinity and be an automorphism of the shared associated group
+    (default: identity).  The realized (mu, nu) is whatever the
     exhaustive verification finds; disagreement with the closed
     recurrence is recorded in branch_note, not hidden.
     """
@@ -299,12 +301,9 @@ def linked_product(G: FiniteGroup, emb1, emb2,
         f = {int(a): int(f[a]) for a in f}
         if set(f) != set(range(s)) or set(f.values()) != set(range(s)):
             raise LinkedError("f must permute S (and fix infinity)")
-        # check f extends to an automorphism of the associated group
-        idx = {el: i for i, el in enumerate(assoc.carrier)}
-        perm = np.empty(s + 1, dtype=np.int64)
-        perm[idx[INF]] = idx[INF]
-        for a in range(s):
-            perm[idx[a]] = idx[f[a]]
+        # f must extend to an automorphism of the associated group, where
+        # infinity has index 0 and a in S index a + 1
+        perm = np.array([0] + [f[a] + 1 for a in range(s)])
         try:
             Automorphism(assoc.group, perm)
         except Exception as exc:
@@ -312,18 +311,10 @@ def linked_product(G: FiniteGroup, emb1, emb2,
                 f"f is not an automorphism of the associated group: {exc}"
             ) from exc
 
-    t = G.table
-    inter = sorted(set(int(x) for x in emb1) & set(int(x) for x in emb2))
-    N = Subgroup(G, tuple(inter))
-    family = []
-    for a in range(s):
-        X = [int(emb1[g]) for g in L1.sets[a]]
-        Y = [int(emb2[g]) for g in L2.sets[f[a]]]
-        prods = [int(t[x, y]) for x in X for y in Y]
-        if len(set(prods)) != len(prods):
-            raise RdsError("collision in member products")
-        family.append(tuple(sorted(prods)))
-    cert = verify_linked(G, N, family)
+    family = product_sets(cp, L1, L2,
+                          [(L1.sets[a], L2.sets[f[a]]) for a in range(s)],
+                          LinkedError)
+    cert = verify_linked(cp.group, cp.amalgamated, family)
     n = cert.n
     mu_rec = L1.mu * L2.mu + (n - 1) * L1.nu * L2.nu
     nu_rec = L1.mu * L2.nu + L2.mu * L1.nu + (n - 2) * L1.nu * L2.nu

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ff import Field
-from .groups import FiniteGroup, GroupError, Subgroup, is_transversal
+from .groups import (CentralProduct, FiniteGroup, GroupError, Subgroup,
+                     is_transversal)
 from .groupring import GroupRingElement, class_values
 
 
@@ -240,62 +241,55 @@ def rds_to_pds(G: FiniteGroup, X, N: Subgroup):
 # product of RDSs
 
 
-def _factor_rds(G: FiniteGroup, emb, X, N: Subgroup):
-    """Certify X as a semiregular RDS of the embedded factor emb(H) <= G
-    relative to N <= emb(H); returns emb(X) and the factor's certificate.
+def product_sets(cp: CentralProduct, c1, c2, pairs, error) -> list:
+    """The sorted sets embed1(X) embed2(Y) in cp.group, one per (X, Y)
+    in pairs.  c1 and c2 are RDS or linked certificates over cp's
+    factors G1 and G2 whose forbidden subgroups embed onto the
+    amalgamated N; the embeddings are audited monomorphisms, so what c_i
+    certifies in Z[G_i] holds for the embedded sets relative to N.
+    Raises error otherwise, or when two products in one set coincide."""
+    N = np.asarray(cp.amalgamated.members)
+    for i, (c, Gi, emb) in enumerate(
+            zip((c1, c2), cp.factors, (cp.embed1, cp.embed2)), 1):
+        if c.group is not Gi:
+            raise error(f"certificate {i} is over {c.group.name}, not the "
+                        f"factor G{i} of the central product")
+        if not np.array_equal(np.sort(emb[list(c.N.members)]), N):
+            raise error(f"embed{i} does not carry certificate {i}'s "
+                        f"forbidden subgroup onto the amalgamated one")
+    out = []
+    for X, Y in pairs:
+        prods = np.sort(cp.group.table[np.ix_(cp.embed1[list(X)],
+                                              cp.embed2[list(Y)])], axis=None)
+        if (prods[1:] == prods[:-1]).any():
+            raise error("collision in member products")
+        out.append(tuple(prods.tolist()))
+    return out
 
-    H's table is G's restricted to the image of emb and relabelled
-    through the inverse of emb."""
-    emb = np.asarray(emb, dtype=np.int64)
-    if emb[0] != 0 or len(set(emb.tolist())) != len(emb):
-        raise RdsError("embedding must be injective and map 0 to 0")
-    pre = np.full(G.order, -1, dtype=np.int64)
-    pre[emb] = np.arange(len(emb))
-    table = pre[G.table[np.ix_(emb, emb)]]
-    if (table < 0).any():
-        raise RdsError("factor product escapes the embedded subgroup")
-    H = FiniteGroup(table, name=f"{G.name}[factor]")
-    cert = verify_rds(H, X, Subgroup(H, tuple(pre[list(N.members)].tolist())))
-    if not cert.semiregular:
-        raise RdsError("factor RDS is not semiregular")
-    return tuple(emb[list(cert.X)].tolist()), cert
 
+def rds_product(cp: CentralProduct, c1: RdsCertificate,
+                c2: RdsCertificate) -> RdsCertificate:
+    """The product RDS X1 X2 in the central product G = G1 G2 over N.
 
-def rds_product(G: FiniteGroup, emb1, emb2, X1, X2):
-    """Product RDS of Proposition-style form: X1 X2 inside G = G1 G2.
-
-    emb1, emb2 map factor indices into G; X1, X2 are index sets of the
-    factors.  X1 (embedded) must be i-commuting; the result is
-    re-verified from scratch.
+    c1 and c2 certify semiregular RDSs X1 in G1 and X2 in G2 whose
+    forbidden subgroups embed onto N = cp.amalgamated (see product_sets),
+    X1 i-commuting; the product is re-verified from scratch against the
+    predicted parameters.
     """
-    img1 = [int(emb1[g]) for g in range(len(emb1))]
-    img2 = [int(emb2[g]) for g in range(len(emb2))]
-    inter = sorted(set(img1) & set(img2))
-    if len(img2) == len(inter) or len(img1) == len(inter):
-        raise RdsError("factors must be proper subgroups")
-    N = Subgroup(G, tuple(inter))
-    t = G.table
-    prod_all = {int(t[a, b]) for a in img1 for b in img2}
-    if len(prod_all) != G.order:
-        raise RdsError("G is not the product of the embedded factors")
-    X1img, cert1 = _factor_rds(G, emb1, X1, N)
-    X2img, cert2 = _factor_rds(G, emb2, X2, N)
-    # i-commuting is an identity in Z[H], which the embedding preserves
-    if not cert1.i_commuting:
+    if not (c1.semiregular and c2.semiregular):
+        raise RdsError("factor RDS is not semiregular")
+    # i-commuting is an identity in Z[G1], which the embedding preserves
+    if not c1.i_commuting:
         raise RdsError("X1 must be i-commuting")
-    lam1, lam2 = cert1.lam, cert2.lam
-    prods = [int(t[a, b]) for a in X1img for b in X2img]
-    if len(set(prods)) != len(prods):
-        raise RdsError("collision in products; preconditions violated")
-    X = tuple(sorted(prods))
-    cert = verify_rds(G, X, N)
-    n = len(N)
-    expect = (n ** 2 * lam1 * lam2, n, n ** 2 * lam1 * lam2, n * lam1 * lam2)
+    (X,) = product_sets(cp, c1, c2, [(c1.X, c2.X)], RdsError)
+    cert = verify_rds(cp.group, X, cp.amalgamated)
+    n, lam = cert.n, c1.lam * c2.lam
+    expect = (n ** 2 * lam, n, n ** 2 * lam, n * lam)
     if cert.parameters != expect:
         raise RdsError(
             f"product parameters {cert.parameters} differ from the "
             f"predicted {expect}")
-    return X, cert
+    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -335,23 +329,26 @@ def certify_drg3(adj: np.ndarray, group: FiniteGroup | None = None):
     x, y (NotTranslationInvariant otherwise).  G.gens generates G, so
     x -> x.w is an automorphism carrying e to w for every w: the graph
     is vertex-transitive, and the distances and intersection numbers
-    seen from e are those seen from every base.  One breadth-first
-    search from e then certifies the array, with witnesses (0, w).
+    seen from e are those seen from every base.  adj[x, y] is then
+    adj[e, y.x^-1], so row e alone decides symmetry and loops.  One
+    breadth-first search from e then certifies the array, with
+    witnesses (0, w).
     d(x, y) = d(e, y.x^-1), so the distance-3 relation is an
     equivalence exactly when C = {w : d(e, w) in {0, 3}} is closed
     under the product, and its classes are the right cosets C.w.  The
-    cost is |G.gens| v^2 table-indexed cells, plus v^2 each for the
-    symmetry check and the search; nothing is sampled and no v x v
-    float matrix is built.
+    cost is |G.gens| v^2 table-indexed cells, plus v^2 for the search
+    and v for the symmetry check; nothing is sampled and no v x v float
+    matrix is built.
     """
     adj = np.asarray(adj, dtype=bool)
-    if adj.diagonal().any() or not np.array_equal(adj, adj.T):
-        raise RdsError("adjacency must be symmetric and loop-free")
     if group is None:
+        if adj.diagonal().any() or not np.array_equal(adj, adj.T):
+            raise RdsError("adjacency must be symmetric and loop-free")
         return _drg3_every_base(adj)
-    if adj.shape[0] != group.order:
-        raise RdsError(f"adjacency has {adj.shape[0]} vertices but "
-                       f"{group.name} has order {group.order}")
+    if adj.shape != (group.order,) * 2:
+        raise RdsError(f"adjacency has {adj.shape[0]} vertices (shape "
+                       f"{adj.shape}) but {group.name} has order "
+                       f"{group.order}")
     return _drg3_one_base(adj, group)
 
 
@@ -425,6 +422,9 @@ def _drg3_one_base(adj: np.ndarray, G: FiniteGroup):
                 f"adj[{x}, {y}] = {bool(adj[x, y])} but "
                 f"adj[{int(right[x])}, {int(right[y])}] = "
                 f"{bool(adj[right[x], right[y]])}", generator=g, pair=(x, y))
+    # adj[x, y] = adj[e, y.x^-1]: symmetric and loop-free iff row e is
+    if adj[0, 0] or not np.array_equal(adj[0, G.inv], adj[0]):
+        raise RdsError("adjacency must be symmetric and loop-free")
     dist = np.full(adj.shape[0], -1, dtype=np.int8)
     dist[0] = 0
     near = []  # near[d][w] = neighbours of w at distance d from e

@@ -95,17 +95,28 @@ def test_one_base_agrees_with_every_base(name, request):
     assert cayley_drg_check(G, S) == every
 
 
+def _cayley_arcs(G, S):
+    """adj[u, w] iff w u^-1 in S, for any S: the arcs of Cay(G, S),
+    directed when S is not reversible and looped when e is in S."""
+    adj = np.zeros((G.order, G.order), dtype=bool)
+    adj[np.arange(G.order), G.table[list(S)]] = True
+    return adj
+
+
 @pytest.mark.parametrize("make, S, error", [
     (lambda: cyclic(8), (1, 7), WrongDiameter),  # octagon
     (lambda: elementary_abelian(2, 4), (1, 2, 4, 8), WrongDiameter),  # 4-cube
     # heptagon: d(0, 3) = d(0, 4) = 3 but d(3, 4) = 1
     (lambda: cyclic(7), (1, 6), RdsError),
     # Moebius ladder: c_2 is 1 at vertex 2 and 2 at vertex 4
-    (lambda: cyclic(10), (1, 5, 9), NotDistanceRegular)],
-    ids=["octagon", "cube4", "heptagon", "ladder"])
+    (lambda: cyclic(10), (1, 5, 9), NotDistanceRegular),
+    # translation-invariant, but directed and looped
+    (lambda: cyclic(5), (1,), RdsError),
+    (lambda: cyclic(6), (0, 1, 5), RdsError)],
+    ids=["octagon", "cube4", "heptagon", "ladder", "directed", "looped"])
 def test_one_base_fails_as_every_base_does(make, S, error):
     G = make()
-    adj = cayley_adjacency(G, S)
+    adj = _cayley_arcs(G, S)
     with pytest.raises(RdsError) as every:
         certify_drg3(adj)
     with pytest.raises(RdsError) as one:
@@ -160,6 +171,8 @@ def test_every_generator_is_checked(heis3):
 def test_one_base_needs_a_group_of_the_graph_order(heis3):
     with pytest.raises(RdsError, match="27 vertices"):
         certify_drg3(_heis_graph(heis3), cyclic(26))
+    with pytest.raises(RdsError, match=r"shape \(27, 26\)"):
+        certify_drg3(_heis_graph(heis3)[:, 1:], heis3.group)
 
 
 def test_thas_somma_matches_definition():

@@ -13,8 +13,8 @@ from rdslink.constructions import q8_system_2r, theorem_1_2_rds
 from rdslink.ff import field_make
 from rdslink.groups import (TABLE_BYTES, Automorphism, FiniteGroup,
                             GroupError, Subgroup, _check_budget,
-                            automorphism_from_images, center,
-                            central_product, cyclic, direct_product,
+                            _check_homomorphism, automorphism_from_images,
+                            center, central_product, cyclic, direct_product,
                             elementary_abelian, extraspecial_mp3,
                             heisenberg, is_transversal, orbits, quaternion8)
 from rdslink.rds import dev
@@ -467,6 +467,17 @@ def test_central_product_q8_q8():
     for a in range(8):
         for b in range(8):
             assert int(im1[G1.mul(a, b)]) == G.mul(int(im1[a]), int(im1[b]))
+
+
+def test_embedding_audit_rejects_a_swapped_embedding():
+    G1 = quaternion8()
+    Z = center(G1)
+    cp = central_product(G1, G1, Z, Z)
+    assert cp.factors == (G1, G1)
+    emb = cp.embed1.copy()
+    emb[[1, 4]] = emb[[4, 1]]  # a and b trade images: still injective
+    with pytest.raises(GroupError, match="embed1 is not a homomorphism"):
+        _check_homomorphism(G1, cp.group, emb, "embed1")
 
 
 def test_central_product_rejects_noncentral():

@@ -7,11 +7,13 @@ from sympy import factorint
 from sympy.combinatorics import Permutation, PermutationGroup
 
 from rdslink.constructions import q8_system_2r
-from rdslink.groups import cyclic, direct_product
+from rdslink.groups import (Subgroup, central_product, cyclic,
+                            direct_product, quaternion8)
 from rdslink.groupring import GroupRingError
 from rdslink.linked import (InverseNotInFamily, LinkedError,
                             NonIntegralBranch, _abelian_invariant_factors,
-                            associated_group, munu_branches, verify_linked)
+                            associated_group, linked_product, munu_branches,
+                            verify_linked)
 from rdslink.rds import RdsError
 
 
@@ -161,3 +163,30 @@ def test_every_single_swap_of_a_member_breaks_the_system(request, system):
                 verify_linked(G, c.N, family[:i] + [Y] + family[i + 1:])
             swaps += 1
     assert swaps == len(family) * c.k * (G.order - c.k)
+
+
+def test_linked_product_over_every_f(heis3):
+    # Heis(3) o Heis(3): the associated group is C4 with chi = (0, 2, 1),
+    # whose automorphisms are the identity and (1 2)
+    L = heis3.certificate
+    assert L.chi == (0, 2, 1)
+    cp = central_product(L.group, L.group, L.N, L.N)
+    for f in itertools.permutations(range(3)):
+        if f in ((0, 1, 2), (0, 2, 1)):
+            cert = linked_product(cp, L, L, f=dict(enumerate(f)))
+            assert cert.parameters == (81, 3, 81, 27, 3, 33, 24)
+        else:
+            with pytest.raises(LinkedError, match="not an automorphism"):
+                linked_product(cp, L, L, f=dict(enumerate(f)))
+
+
+def test_linked_product_takes_systems_of_the_factors(q8cert):
+    G, N = q8cert.group, q8cert.N
+    Q = quaternion8()  # a rebuilt copy of Q8
+    copy = verify_linked(Q, Subgroup(Q, N.members), q8cert.sets)
+    with pytest.raises(LinkedError, match="not the factor G2"):
+        linked_product(central_product(G, G, N, N), q8cert, copy)
+    # over {e}, the direct product: the center N does not embed onto {e}
+    e = Subgroup(G, (0,))
+    with pytest.raises(LinkedError, match="embed1 does not carry"):
+        linked_product(central_product(G, G, e, e), q8cert, q8cert)

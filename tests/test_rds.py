@@ -3,8 +3,8 @@ import pytest
 
 from rdslink.ff import field_make
 from rdslink.groupring import GroupRingElement, GroupRingError
-from rdslink.groups import (Subgroup, center, cyclic, direct_product,
-                            heisenberg)
+from rdslink.groups import (Subgroup, center, central_product, cyclic,
+                            direct_product, extraspecial_mp3, heisenberg)
 from rdslink.rds import (EquationFails, IntersectionArray, LambdaNotPositive,
                          RdsError, WrongDiameter, cayley_adjacency,
                          certify_drg3, certify_rds, dev, is_icommuting,
@@ -128,11 +128,21 @@ def test_rds_to_pds_requires_reversible():
         rds_to_pds(G, (0, 1), N)
 
 
-def test_rds_product_rejects_improper_factors():
-    G = cyclic(4)
-    emb = np.arange(4)
-    with pytest.raises(RdsError):
-        rds_product(G, emb, emb, (0, 1), (0, 1))
+def test_rds_product_takes_certificates_of_the_factors(es3, heis3):
+    # M27 carrying Y_0 (forbidden Z) times Heis(3) carrying X_0, over Z
+    cp = central_product(es3.group, heis3.group, es3.Z, heis3.center)
+    c2 = heis3.certificate.member_certs[0]
+    cert = rds_product(cp, es3.Y_certs[0], c2)
+    assert cert.parameters == (81, 3, 81, 27)
+    assert cert.N is cp.amalgamated
+    # Y_0 over a rebuilt copy of M27, and Z_0, whose forbidden subgroup
+    # is Y while the central product amalgamates Z
+    M = extraspecial_mp3(3)
+    copy = verify_rds(M, es3.Y_certs[0].X, Subgroup(M, es3.Z.members))
+    for c1, message in ((copy, "not the factor G1"),
+                        (es3.Z_certs[0], "embed1 does not carry")):
+        with pytest.raises(RdsError, match=message):
+            rds_product(cp, c1, c2)
 
 
 def test_intersection_array_feasibility():
