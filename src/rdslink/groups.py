@@ -126,7 +126,8 @@ def _integer_table(table) -> np.ndarray:
     _check_budget(len(arr))
     if arr.min() < 0 or arr.max() >= len(arr):
         raise GroupError("table entries out of range")
-    return arr.astype(np.uint16, copy=False)
+    # C order: GroupRingElement.__mul__ gathers from the raveled table
+    return np.ascontiguousarray(arr, dtype=np.uint16)
 
 
 def _flat(el):

@@ -105,21 +105,27 @@ def verify_linked(G: FiniteGroup, N: Subgroup, family) -> LinkedCertificate:
     chi = tuple(chi)
     assert all(chi[chi[a]] == a for a in range(s))
 
+    # (X_a X_b)* = X_b* X_a* = X_chi(b) X_chi(a) in any group ring, and
+    # * carries the level set X_c to X_chi(c): a pair whose partner
+    # (chi b, chi a) is done reads psi off it, with the same (mu, nu)
     psi = {}
     mu = nu = None
     for a, b in itertools.product(range(s), repeat=2):
         if b == chi[a]:
             continue  # this case is exactly the RDS equation, verified above
+        if (chi[b], chi[a]) in psi:
+            psi[(a, b)] = chi[psi[(chi[b], chi[a])]]
+            continue
         prod = (ind[a] * ind[b]).vec
-        vals = np.unique(prod).tolist()
-        if len(vals) != 2:
-            raise ProductNotTwoValued(
-                f"product of members {a},{b} takes values {vals}")
-        lo, hi = vals
+        lo, hi = int(prod.min()), int(prod.max())
+        at_lo = prod == lo
+        if lo == hi or np.count_nonzero(at_lo | (prod == hi)) != prod.size:
+            raise ProductNotTwoValued(f"product of members {a},{b} takes "
+                                      f"values {np.unique(prod).tolist()}")
         # the mu-level set is the family member; try both values
         target = None
-        for cand_mu, cand_nu in ((lo, hi), (hi, lo)):
-            level = tuple(np.flatnonzero(prod == cand_mu).tolist())
+        for cand_mu, cand_nu, mask in ((lo, hi, at_lo), (hi, lo, ~at_lo)):
+            level = tuple(np.flatnonzero(mask).tolist())
             if level in lookup:
                 target = (lookup[level], cand_mu, cand_nu)
                 break

@@ -80,8 +80,15 @@ def verify_sring(P: SchurPartition) -> StructureConstants:
     r = P.rank
     tensor = np.zeros((r, r, r), dtype=np.int64)
     inds = [GroupRingElement.indicator(G, c) for c in P.classes]
+    # star[i] is the class of inverses of class i.  (C_i C_j)* =
+    # C_star(j) C_star(i) in any group ring, so (star j, star i) takes the
+    # values of (i, j) at inverse classes; of the two, the pair that comes
+    # first in this loop is computed
+    star = P.class_of[G.inv[[c[0] for c in P.classes]]].tolist()
     for i in range(r):
         for j in range(r):
+            if (star[j], star[i]) < (i, j):
+                continue
             prod = (inds[i] * inds[j]).vec
             values, bad = class_values(prod, P.class_of, r)
             if bad is not None:
@@ -93,6 +100,7 @@ def verify_sring(P: SchurPartition) -> StructureConstants:
                     f"class {k}: counts {int(counts.min())} vs "
                     f"{int(counts.max())} (elements {c[0]},{bad})")
             tensor[i, j] = values
+            tensor[star[j], star[i], star] = values
     return StructureConstants(P, tensor)
 
 

@@ -80,6 +80,86 @@ def test_overflow_guard():
         big * big
 
 
+@pytest.mark.parametrize("a, b", [
+    # 2^62 * 2 wraps to -2^63 in int64
+    ([2 ** 62, 0, 0, 0], [2, 0, 0, 0]),
+    # |a|_1 = 4 (2^62 + 1) wraps to 4 in int64
+    ([2 ** 62 + 1] * 4, [1, 0, 0, 0]),
+    ([1, 0, 0, 0], [-2 ** 63, 0, 0, 0]),
+    ([2 ** 31, 0, 0, 0], [0, 0, 0, 0]),
+])
+def test_overflow_guard_is_computed_without_wrapping(a, b):
+    G = cyclic(4)
+    with pytest.raises(GroupRingError, match="too large"):
+        GroupRingElement(G, a) * GroupRingElement(G, b)
+
+
+@pytest.mark.parametrize("G", [cyclic(12), heisenberg(field_make(3))],
+                         ids=lambda G: G.name)
+def test_signed_dense_product_at_the_coefficient_bound(G):
+    # |a|_1 * max|b| = 2^31 - 1, the largest product the guard admits;
+    # b = sign(a) at inverses puts all of |a|_1 on the identity
+    v = G.order
+    rng = np.random.default_rng(v)
+    a = rng.integers(1, 2 ** 31 // v, v) * rng.choice([-1, 1], v)
+    a[-1] = np.sign(a[-1]) * (2 ** 31 - 1 - np.abs(a[:-1]).sum())
+    b = np.empty(v, dtype=np.int64)
+    b[G.inv] = np.sign(a)
+    assert np.abs(a).sum() * np.abs(b).max() == 2 ** 31 - 1
+    got = GroupRingElement(G, a) * GroupRingElement(G, b)
+    assert got.vec.tolist() == _convolve_by_definition(G, a, b)
+    assert got[0] == 2 ** 31 - 1
+    b[0] = 2 * b[0]
+    with pytest.raises(GroupRingError, match="too large"):
+        GroupRingElement(G, a) * GroupRingElement(G, b)
+
+
+@pytest.mark.parametrize("vec, witness", [
+    ([0.5, 1, 0, 0], "entry 0.5 at position 0 is not an integer"),
+    ([0, 1, 2.0, 0], "entry 2.0 at position 2 is not an integer"),
+    ([0, True, 0, 0], "entry True at position 1 is not an integer"),
+    (["1", 0, 0, 0], "entry '1' at position 0 is not an integer"),
+    (np.array([0.25, 0, 0, 0]), "entry 0.25 at position 0 is not an integer"),
+    (np.array([0, 0, 1, 0], dtype=bool),
+     "entry False at position 0 is not an integer"),
+    ([0, 2 ** 70, 0, 0], "entry 1180591620717411303424 at position 1 does "
+                         "not fit in int64"),
+    ([0, 0, -1, 2 ** 63], "entry 9223372036854775808 at position 3 does "
+                          "not fit in int64"),
+    (np.array([0, 2 ** 64 - 1, 0, 0], dtype=np.uint64),
+     "entry 18446744073709551615 at position 1 does not fit in int64"),
+    ([0, 1, 0], "length must equal"),
+])
+def test_constructor_rejects_non_integer_coefficients(vec, witness):
+    with pytest.raises(GroupRingError, match=witness):
+        GroupRingElement(cyclic(4), vec)
+
+
+def test_constructor_accepts_integer_arrays_of_any_width():
+    G = cyclic(4)
+    for vec in ([0, -1, 2 ** 63 - 1, -2 ** 63], (1, 2, 3, 4),
+                np.array([1, 2, 3, 4], dtype=np.uint8),
+                np.array([-1, 2, 3, 4], dtype=np.int32),
+                [np.int64(1), np.uint16(2), 3, 4]):
+        x = GroupRingElement(G, vec)
+        assert x.vec.dtype == np.int64
+        assert x.vec.tolist() == [int(c) for c in vec]
+
+
+@pytest.mark.parametrize("scalar", [0.5, 2.0, True, "2", 2 ** 63])
+def test_scalar_multiple_rejects_non_integers(scalar):
+    x = GroupRingElement.indicator(cyclic(4), [1, 2])
+    with pytest.raises(GroupRingError, match="scalar"):
+        scalar * x
+
+
+def test_scalar_multiple():
+    x = GroupRingElement.indicator(cyclic(4), [1, 2])
+    assert (3 * x).vec.tolist() == (np.int64(3) * x).vec.tolist() == [
+        0, 3, 3, 0]
+    assert (-2 ** 62 * x)[1] == -2 ** 62
+
+
 def test_noncommutative_convolution():
     G = quaternion8()
     a_el = G.index[(0, 1)]

@@ -2,6 +2,7 @@ import itertools
 import math
 import re
 
+import numpy as np
 import pytest
 from sympy import factorint
 from sympy.combinatorics import Permutation, PermutationGroup
@@ -14,7 +15,7 @@ from rdslink.linked import (InverseNotInFamily, LinkedError,
                             NonIntegralBranch, _abelian_invariant_factors,
                             associated_group, linked_product, munu_branches,
                             verify_linked)
-from rdslink.rds import RdsError
+from rdslink.rds import RdsError, verify_rds
 
 
 def test_munu_branches_known_values():
@@ -190,3 +191,60 @@ def test_linked_product_takes_systems_of_the_factors(q8cert):
     e = Subgroup(G, (0,))
     with pytest.raises(LinkedError, match="embed1 does not carry"):
         linked_product(central_product(G, G, e, e), q8cert, q8cert)
+
+
+def _linked_by_all_pairs(G, N, family):
+    """sets, chi, psi, (mu, nu) and the members' parameters, from every
+    product X_a X_b with b != chi(a), each counted off the Cayley table."""
+    sets = [tuple(sorted(X)) for X in family]
+    s = len(sets)
+    chi = tuple(sets.index(tuple(sorted(G.inv[list(X)].tolist())))
+                for X in sets)
+    psi, munu = {}, set()
+    for a, b in itertools.product(range(s), repeat=2):
+        if b == chi[a]:
+            continue
+        prod = np.bincount(G.table[np.ix_(sets[a], sets[b])].ravel(),
+                           minlength=G.order)
+        values = np.unique(prod).tolist()
+        assert len(values) == 2
+        for mu, nu in (values, values[::-1]):
+            level = tuple(np.flatnonzero(prod == mu).tolist())
+            if level in sets:
+                psi[(a, b)] = sets.index(level)
+                munu.add((mu, nu))
+                break
+    assert len(psi) == s * (s - 1) and len(munu) == 1
+    members = [verify_rds(G, X, N).parameters for X in sets]
+    return sets, chi, psi, munu.pop(), members
+
+
+@pytest.fixture(scope="module")
+def heis3_products(heis3):
+    """Heis(3) o Heis(3) for both automorphisms f of C4, id and (1 2)."""
+    L = heis3.certificate
+    cp = central_product(L.group, L.group, L.N, L.N)
+    return [linked_product(cp, L, L, f=dict(enumerate(f)))
+            for f in ((0, 1, 2), (0, 2, 1))]
+
+
+@pytest.mark.parametrize("system", ["heis3", "heis5", "q8cert", "dps3",
+                                    "dps4", "heis3o3-id", "heis3o3-(12)"])
+def test_verify_linked_agrees_with_all_pairs(request, system):
+    # verify_linked computes one product of each pair (a, b), (chi b, chi a)
+    # and reads the other off it at inverses
+    if system.startswith("heis3o3"):
+        c = request.getfixturevalue("heis3_products")[
+            system.endswith("(12)")]
+    else:
+        c = getattr(request.getfixturevalue(system), "certificate",
+                    request.getfixturevalue(system))
+    cert = verify_linked(c.group, c.N, c.sets)
+    sets, chi, psi, munu, members = _linked_by_all_pairs(c.group, c.N, c.sets)
+    assert cert.sets == sets and cert.chi == chi and cert.psi == psi
+    assert (cert.mu, cert.nu) == munu
+    assert [m.parameters for m in cert.member_certs] == members
+    # unless chi is the identity, some psi(a, b) differs from the value at
+    # its partner (chi b, chi a), so reading it off needs chi
+    assert chi == tuple(range(len(chi))) or any(
+        psi[(chi[b], chi[a])] != g for (a, b), g in psi.items())

@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -120,3 +121,43 @@ def test_perturbed_labeling_rejected():
 def test_amorphic_latin_bad_t():
     with pytest.raises(SRingError):
         amorphic_latin(field_make(3), 2)
+
+
+def _tensor_by_all_pairs(P):
+    """c[i][j][k] from every product C_i C_j, each counted off the Cayley
+    table and checked constant on every class."""
+    G, r = P.group, P.rank
+    tensor = np.zeros((r, r, r), dtype=np.int64)
+    for i, j in itertools.product(range(r), repeat=2):
+        prod = np.bincount(G.table[np.ix_(P.classes[i], P.classes[j])].ravel(),
+                           minlength=G.order)
+        for k, c in enumerate(P.classes):
+            assert len(set(prod[list(c)].tolist())) == 1
+            tensor[i, j, k] = prod[c[0]]
+    return tensor
+
+
+def _amorphic_partition(G, sets):
+    return SchurPartition(G, [(0,)] + [sets[h] for h in range(len(sets))])
+
+
+@pytest.mark.parametrize("name", ["heis3", "heis5", "es3", "dps3", "dps4",
+                                  "GF(9) t=3", "GF(8) t=4", "C7 squares"])
+def test_verify_sring_agrees_with_all_pairs(request, name):
+    # verify_sring computes one product of each pair (i, j), (j*, i*)
+    # and reads the other off it at inverse classes
+    if name.startswith("GF"):
+        F, t = {"GF(9) t=3": (field_make(3, 2), 3),
+                "GF(8) t=4": (field_make(2, 3), 4)}[name]
+        P = _amorphic_partition(*amorphic_latin(F, t))
+    elif name.startswith("dps"):
+        ds = request.getfixturevalue(name)
+        P = _amorphic_partition(ds.plane, ds.amorphic_sets)
+    elif name == "C7 squares":
+        # the inverse of the class of squares is the class of non-squares
+        P = SchurPartition(cyclic(7), [(0,), (1, 2, 4), (3, 5, 6)])
+    else:
+        P = request.getfixturevalue(name).partition
+        star = P.class_of[P.group.inv[[c[0] for c in P.classes]]]
+        assert (star != np.arange(P.rank)).any()
+    assert np.array_equal(verify_sring(P).tensor, _tensor_by_all_pairs(P))
