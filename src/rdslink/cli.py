@@ -382,7 +382,7 @@ def cmd_verify(args):
 
     try:
         G = _load_group(args.group, load(args.group))
-        report["group"] = {"order": G.order, "audit": "light",
+        report["group"] = {"order": G.order, "audit": G.audit,
                            "generators": G.gens}
         sets = _load_sets(args.sets, load(args.sets))
         if args.kind == "rds":

@@ -71,21 +71,38 @@ class GroupRingElement:
 
     def __add__(self, other):
         self._check(other)
-        return GroupRingElement(self.group, self.vec + other.vec)
+        a, b = self.vec, other.vec
+        return self._exact(np.add, a, b, int(a.min()) + int(b.min()),
+                           int(a.max()) + int(b.max()))
 
     def __sub__(self, other):
         self._check(other)
-        return GroupRingElement(self.group, self.vec - other.vec)
+        a, b = self.vec, other.vec
+        return self._exact(np.subtract, a, b, int(a.min()) - int(b.max()),
+                           int(a.max()) - int(b.min()))
 
     def __rmul__(self, scalar: int):
         if isinstance(scalar, bool) or not isinstance(
                 scalar, (int, np.integer)) or not (
                 _INT64[0] <= scalar < _INT64[1]):
             raise GroupRingError(f"scalar {scalar!r} is not an int64 integer")
-        return GroupRingElement(self.group, np.int64(scalar) * self.vec)
+        scalar = int(scalar)
+        ends = (scalar * int(self.vec.min()), scalar * int(self.vec.max()))
+        return self._exact(np.multiply, scalar, self.vec, min(ends),
+                           max(ends))
 
     def __neg__(self):
-        return GroupRingElement(self.group, -self.vec)
+        return self._exact(np.subtract, 0, self.vec,
+                           -int(self.vec.max()), -int(self.vec.min()))
+
+    def _exact(self, op, x, y, low: int, high: int):
+        """op(x, y), whose entries lie in low..high (Python ints): in
+        int64 when that range fits, else in Python ints, so that the
+        constructor names the first entry int64 cannot hold instead of
+        letting it wrap."""
+        if not _INT64[0] <= low <= high < _INT64[1]:
+            x, y = np.asarray(x, dtype=object), np.asarray(y, dtype=object)
+        return GroupRingElement(self.group, op(x, y))
 
     def __mul__(self, other):
         """Convolution: c_g = sum over h*k = g of a_h b_k."""

@@ -4,13 +4,15 @@ Elements are integers 0..v-1 with the identity at index 0.  Every
 group built here carries its v x v uint16 multiplication table (so
 v <= 32,768), and all downstream checks are exhaustive exact
 arithmetic; arithmetic on table entries widens them to int64 first.
-Every table is audited exactly at every order: a two-sided identity, a
-right inverse in each row, and Light's associativity test over one
-irredundant generating set G.gens (in a p-group, one of the minimum
-size).  Heisenberg groups, the extraspecial group of order p^3 and
-exponent p^2, Q8, abelian groups, and direct/central products are
-provided, plus subgroups, the center, transversal tests, automorphisms
-(audited on G.gens) and their orbits.
+Every table, built or loaded, is audited exactly at every order from
+the rows and columns of one irredundant generating set G.gens (in a
+p-group, one of the minimum size): v^2 + d^2 v cells for d generators
+(_audit_table).  Every table is built the same way: a product rule
+gives the rows of a few generators, and a walk from the identity fills
+every other row from them (_fill).  Heisenberg groups, the
+extraspecial group of order p^3 and exponent p^2, Q8, abelian groups,
+and direct/central products are provided, plus subgroups, the center,
+transversal tests, automorphisms (audited on G.gens) and their orbits.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .ff import Field, is_prime
 # the largest table a constructor will build: 2 bytes an entry, so
 # v <= 32,768, and every entry v - 1 fits in uint16
 TABLE_BYTES = 1 << 31
-_ROWS = 64  # table rows per block in from_elements and the audit
+_CELLS = 1 << 15  # table cells per block in the fill and the audit
 
 
 class GroupError(ValueError):
@@ -41,15 +43,33 @@ def _check_budget(v: int):
                          f"over the {TABLE_BYTES:,}-byte budget")
 
 
-def _reach(table: np.ndarray, gens: list, reached: np.ndarray):
-    """Extend reached, in place, by right multiplication by gens until
-    it is closed, and return it."""
-    frontier = np.flatnonzero(reached)
+def _walk(maps: np.ndarray, reached: np.ndarray, tree: list | None = None):
+    """Walk breadth first over y = maps[k, p] (maps[k] is the map of
+    the k-th generator): from every reached p, then from each wave of
+    new elements, until closed.  reached is extended in place.  With a
+    tree, each wave is appended to it as arrays (y, k, p): each new y
+    once, with a generator k and a parent p reached before it."""
+    v = maps.shape[1]
+    owner = np.empty(v, dtype=np.intp)
+    frontier = reached.nonzero()[0]
     while frontier.size:
-        image = table[frontier[:, None], gens].ravel()
-        frontier = np.unique(image[~reached[image]])
-        reached[frontier] = True
-    return reached
+        image = maps[:, frontier].ravel()  # generator-major
+        fresh = np.zeros(v, dtype=bool)
+        fresh[image] = True
+        np.greater(fresh, reached, out=fresh)
+        reached |= fresh
+        y = fresh.nonzero()[0]
+        if tree is not None:
+            owner[image] = np.arange(image.size)  # any position of y
+            k, j = np.divmod(owner[y], frontier.size)
+            tree.append((y, k, frontier[j]))
+        frontier = y
+
+
+def _by_generator(y, k, p, d: int):
+    """The runs (g, ys, ps) of a walk's (y, k, p) with generator g."""
+    runs = [(g, k == g) for g in range(d)]
+    return [(g, y[m], p[m]) for g, m in runs if m.any()]
 
 
 def _generators(table: np.ndarray) -> list:
@@ -63,41 +83,105 @@ def _generators(table: np.ndarray) -> list:
     gens = []
     while not reached.all():
         gens.append(int(np.argmin(reached)))
-        _reach(table, gens, reached)
-    for a in list(gens):
+        _walk(table[:, gens].T, reached)
+    # the last one chosen stays: the ones before it do not generate
+    for a in gens[:-1]:
         rest = [b for b in gens if b != a]
-        if _reach(table, rest, np.arange(v) == 0).all():
+        reached = np.arange(v) == 0
+        _walk(table[:, rest].T, reached)
+        if reached.all():
             gens = rest
     return gens
 
 
+def _fill(rows: np.ndarray, more=None) -> np.ndarray:
+    """The Cayley table of the group generated by some elements t, from
+    their rows L_t (the products t z for every z).  A walk from 0 over
+    y = L_t[p] (_walk) writes each row once, as T[y] = L_t[T[p]], since
+    (t p) z = t (p z); element indices never change.  While the walk
+    misses an element, more(g), if given, returns the row of the least
+    one missed, g, which joins the generators; else GroupError."""
+    v = rows.shape[1]
+    reached, tree = np.arange(v) == 0, []
+    _walk(rows, reached, tree)
+    while not reached.all():
+        g = int(np.argmin(reached))
+        if more is None:
+            raise GroupError(f"the generators reach {int(reached.sum())} "
+                             f"of {v} elements, not {g}")
+        rows = np.concatenate([rows, more(g)[None].astype(rows.dtype)])
+        _walk(rows, reached, tree)
+    table = np.empty((v, v), dtype=np.uint16)
+    table[0] = np.arange(v)
+    step = max(1, _CELLS // v)
+    for wave in tree:  # every parent's row is written before it
+        for k, ys, ps in _by_generator(*wave, len(rows)):
+            for s in range(0, ys.size, step):
+                table[ys[s:s + step]] = np.take(rows[k],
+                                                table[ps[s:s + step]])
+    return table
+
+
 def _audit_table(table: np.ndarray) -> list:
-    """Check the group axioms on an in-range square table and return
-    its generating set."""
+    """Certify an in-range square table as a group and return its
+    generating set S = G.gens.  With index 0 a two-sided identity, and
+    L_t = T[t, .], R_s = T[., s] for t, s in S, it checks
+      1. every L_t and R_s is a permutation;
+      2. a walk from 0 over y = L_t[p] reaches every element;
+      3. each row T[y] equals L_t[T[p]] for its walk parent p;
+      4. L_t R_s = R_s L_t for all t, s in S;
+      5. <R_s> is transitive.
+    Then every row is a permutation lambda_y in L = <L_t> with
+    lambda_y(0) = y, so L is transitive; its point stabilizer fixes all
+    that the transitive <R_s> centralizing it moves 0 to, so L is
+    regular (Dixon & Mortimer, Permutation Groups, 4.2), and
+    lambda_y lambda_z = lambda_{T[y,z]}, both sending 0 to T[y, z]:
+    T is associative and every row has an inverse.  This reads
+    v^2 + d^2 v cells for d generators."""
     v = table.shape[0]
     if not (np.array_equal(table[0], np.arange(v))
             and np.array_equal(table[:, 0], np.arange(v))):
         raise GroupError("index 0 is not a two-sided identity")
-    # two-sided inverses: every row and column is a permutation hitting 0
-    no_inverse = np.flatnonzero(table.min(axis=1))
-    if no_inverse.size:
-        raise GroupError(f"element {no_inverse[0]} has no right inverse")
-    # Light's test: (x a) y = x (a y) for all x, y and each generator a;
-    # the a that pass are closed under products, so every element passes.
-    # Blocks reuse two buffers; mode="clip" writes them without a copy.
+    # 5. holds by construction: _generators closes {0} under right
+    # multiplication by S until it holds every element
     gens = _generators(table)
-    left, right = np.empty((2, min(_ROWS, v), v), dtype=table.dtype)
-    for a in gens:
-        for s in range(0, v, _ROWS):
-            n = min(_ROWS, v - s)
-            np.take(table, table[s:s + n, a], axis=0, out=left[:n],
-                    mode="clip")
-            np.take(table[s:s + n], table[a], axis=1, out=right[:n],
-                    mode="clip")
-            if not np.array_equal(left[:n], right[:n]):
-                x, y = np.argwhere(left[:n] != right[:n])[0]
-                raise GroupError(f"associativity fails at a={a}: "
-                                 f"(x a) y != x (a y) for x={s + x}, y={y}")
+    rows = table[gens]
+    cols = np.ascontiguousarray(table[:, gens].T)
+    for what, other, maps in (("row", "columns", rows),
+                              ("column", "rows", cols)):
+        hit = np.zeros(maps.shape, dtype=bool)
+        hit[np.arange(len(maps))[:, None], maps] = True
+        if not hit.all():
+            i = int(np.argmin(hit.all(axis=1)))
+            x = int(np.argmax(np.bincount(maps[i], minlength=v)))
+            a, b = np.flatnonzero(maps[i] == x)[:2]
+            raise GroupError(f"permutation check: {what} {gens[i]} repeats "
+                             f"{x} (at {other} {a} and {b})")
+    reached, tree = np.arange(v) == 0, []
+    _walk(rows, reached, tree)
+    if not reached.all():
+        raise GroupError(f"walk check: left multiplication by {gens} "
+                         f"does not reach {int(np.argmin(reached))} from 0")
+    # t (z s) against (t z) s, for every t in S and every z, with s
+    # in a block of S
+    step = max(1, _CELLS // max(1, rows.size))
+    for j in range(0, len(gens), step):
+        bad = (np.take(rows, cols[j:j + step], axis=1)
+               != np.take(cols[j:j + step], rows, axis=1).transpose(1, 0, 2))
+        if bad.any():
+            i, s, z = np.argwhere(bad)[0]
+            raise GroupError(f"commutation check: t (z s) != (t z) s at "
+                             f"t={gens[i]}, z={z}, s={gens[j + s]}")
+    step = max(1, _CELLS // v)
+    for k, ys, ps in _by_generator(*map(np.concatenate, zip(*tree)),
+                                   len(gens)):
+        for s in range(0, ys.size, step):
+            y, p = ys[s:s + step], ps[s:s + step]
+            bad = np.take(rows[k], table[p]) != table[y]
+            if bad.any():
+                i, z = np.argwhere(bad)[0]
+                raise GroupError(f"row check: (t p) z != t (p z) at "
+                                 f"t={gens[k]}, p={p[i]}, z={z}")
     return gens
 
 
@@ -124,7 +208,7 @@ def _integer_table(table) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not arr.size:
         raise GroupError("multiplication table must be square")
     _check_budget(len(arr))
-    if arr.min() < 0 or arr.max() >= len(arr):
+    if (arr.dtype.kind == "i" and arr.min() < 0) or arr.max() >= len(arr):
         raise GroupError("table entries out of range")
     # C order: GroupRingElement.__mul__ gathers from the raveled table
     return np.ascontiguousarray(arr, dtype=np.uint16)
@@ -143,7 +227,12 @@ class FiniteGroup:
         table = _integer_table(table)
         self.gens = _audit_table(table)  # irredundant, generates G
         self.table = table
-        self.order = table.shape[0]
+        self.order = v = table.shape[0]
+        d = len(self.gens)
+        # how the table was certified: the row pass reads v^2 cells and
+        # the commutation check d^2 v
+        self.audit = {"method": "generator-rows", "d": d,
+                      "cells": v * v + d * d * v}
         self.name = name
         self.labels = labels if labels is not None else [
             str(i) for i in range(self.order)]
@@ -161,12 +250,12 @@ class FiniteGroup:
         read flat, an int is one coordinate), listed in row-major order
         of the grid of coordinate ranges, which they fill once; so the
         i-th element has index i and elements[0] must be the identity.
-        The uint16 table is filled _ROWS rows at a time: mul(g, h) gets
-        the block's g-coordinates as arrays along axis 0 and h's
-        coordinate i along axis i + 1, and returns the product's
-        coordinates, each range-checked and added in at its stride.
-        A coordinate below its range n times its stride stays below v,
-        so uint16 holds every partial sum.
+        The rule is evaluated on generators' rows only: mul(g, h) gets
+        g's coordinates as arrays along axis 0 and h's coordinate i
+        along axis i + 1, and returns the product's coordinates, each
+        range-checked and added in at its stride.  The generators are
+        chosen greedily, each the least element the walk of _fill has
+        not reached, and _fill writes every other row from theirs.
         """
         v = len(elements)
         _check_budget(v)
@@ -177,21 +266,24 @@ class FiniteGroup:
                 coords, np.indices(shape).reshape(k, v).T):
             raise GroupError("elements must fill their coordinate grid "
                              "once, in row-major order")
-        # h's coordinate i on axis i + 1, the block's g-coordinates on 0
+        # h's coordinate i on axis i + 1, g's coordinates on axis 0
         h = tuple(np.arange(n).reshape((n,) + (1,) * (k - 1 - i))
                   for i, n in enumerate(shape))
         strides = [math.prod(shape[i + 1:]) for i in range(k)]
-        table = np.zeros((v, v), dtype=np.uint16)
-        for s in range(0, v, _ROWS):
-            g = tuple(c.reshape((-1,) + (1,) * k)
-                      for c in coords[s:s + _ROWS].T)
-            block = table[s:s + _ROWS].reshape((-1,) + shape)
-            for i, c in enumerate(mul(g, h)):
+
+        def row(g):
+            """g's row: the index of g h for every h."""
+            out = np.zeros((1,) + shape, dtype=np.int64)
+            for i, c in enumerate(mul(tuple(coords[g].reshape(
+                    (k, 1) + (1,) * k)), h)):
                 c, n = np.asarray(c), shape[i]
                 if c.dtype.kind not in "iu" or c.min() < 0 or c.max() >= n:
                     raise GroupError("product leaves the coordinate grid: "
                                      f"coordinate {i} outside 0..{n - 1}")
-                block += c.astype(np.uint16, copy=False) * strides[i]
+                out += c.astype(np.int64, copy=False) * strides[i]
+            return out.reshape(v)
+
+        table = _fill(np.empty((0, v), dtype=np.uint16), row)
         labels = [(label or str)(el) for el in elements]
         return cls(table, labels=labels, name=name, elements=list(elements))
 
@@ -316,15 +408,28 @@ def elementary_abelian(p: int, k: int) -> FiniteGroup:
         name=f"C{p}^{k}")
 
 
+def _factor_rows(G1: FiniteGroup, G2: FiniteGroup, a, b) -> np.ndarray:
+    """The rows of (g, e) for g in G1.gens, then of (e, h) for h in
+    G2.gens, at the pairs (a[i], b[i]): the pair keys of (g a, b) and
+    (a, h b), a key being a * |G2| + b."""
+    v2 = G2.order
+    rows = [G1.table[g, a].astype(np.int64) * v2 + b for g in G1.gens]
+    rows += [a * v2 + G2.table[h, b].astype(np.int64) for h in G2.gens]
+    return np.array(rows, dtype=np.int64).reshape(-1, a.size)
+
+
 def direct_product(G1: FiniteGroup, G2: FiniteGroup) -> FiniteGroup:
-    """G1 x G2 on the pairs (a, b), with index a * |G2| + b."""
-    _check_budget(G1.order * G2.order)
-    t1, t2 = G1.table, G2.table
-    return FiniteGroup.from_elements(
-        list(itertools.product(range(G1.order), range(G2.order))),
-        lambda g, h: (t1[g[0], h[0]], t2[g[1], h[1]]),
-        name=f"{G1.name}x{G2.name}",
-        label=lambda e: f"({G1.labels[e[0]]},{G2.labels[e[1]]})")
+    """G1 x G2 on the pairs (a, b), with index a * |G2| + b, filled from
+    the rows of (g, e) and (e, h) for g in G1.gens and h in G2.gens,
+    which generate it."""
+    v1, v2 = G1.order, G2.order
+    _check_budget(v1 * v2)
+    a, b = np.divmod(np.arange(v1 * v2), v2)
+    els = list(itertools.product(range(v1), range(v2)))
+    return FiniteGroup(
+        _fill(_factor_rows(G1, G2, a, b).astype(np.uint16)),
+        labels=[f"({G1.labels[x]},{G2.labels[y]})" for x, y in els],
+        name=f"{G1.name}x{G2.name}", elements=els)
 
 
 def heisenberg(F: Field, r: int = 1) -> FiniteGroup:
@@ -518,14 +623,14 @@ def central_product(G1: FiniteGroup, G2: FiniteGroup,
     reps = np.unique(rep_of)
     idx_of_pair = np.searchsorted(reps, rep_of)
 
-    # element i is the coset of the pair (a[i], b[i])
+    # element i is the coset of the pair (a[i], b[i]); the cosets of
+    # (g, e) and (e, h) for g in G1.gens and h in G2.gens generate
     a, b = np.divmod(reps, v2)
-    G = FiniteGroup.from_elements(
-        range(v), lambda g, h: (idx_of_pair[
-            t1[a[g[0]], a[h[0]]].astype(np.int64) * v2
-            + t2[b[g[0]], b[h[0]]].astype(np.int64)],),
-        name=f"{G1.name}*{G2.name}",
-        label=lambda i: f"[{G1.labels[a[i]]}.{G2.labels[b[i]]}]")
+    G = FiniteGroup(
+        _fill(idx_of_pair[_factor_rows(G1, G2, a, b)].astype(np.uint16)),
+        labels=[f"[{G1.labels[x]}.{G2.labels[y]}]"
+                for x, y in zip(a.tolist(), b.tolist())],
+        name=f"{G1.name}*{G2.name}", elements=list(range(v)))
     embed1 = idx_of_pair[np.arange(v1) * v2]
     embed2 = idx_of_pair[:v2]
     for i, Gi, emb in ((1, G1, embed1), (2, G2, embed2)):

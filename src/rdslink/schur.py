@@ -24,6 +24,9 @@ class SchurPartition:
 
     def __init__(self, group: FiniteGroup, classes):
         classes = [tuple(sorted(set(c))) for c in classes]
+        empty = [i for i, c in enumerate(classes) if not c]
+        if empty:
+            raise SRingError(f"class {empty[0]} is empty")
         v = group.order
         class_of = np.full(v, -1, dtype=np.int64)
         for i, c in enumerate(classes):

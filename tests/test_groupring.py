@@ -160,6 +160,39 @@ def test_scalar_multiple():
     assert (-2 ** 62 * x)[1] == -2 ** 62
 
 
+@pytest.mark.parametrize("make, wraps_to", [
+    (lambda x, y: x + x + x, -2 ** 62),
+    (lambda x, y: 3 * x, -2 ** 62),
+    (lambda x, y: -y, -2 ** 63),
+    (lambda x, y: y - x, 2 ** 62),
+    (lambda x, y: np.int64(2) * x, -2 ** 63)],
+    ids=["x+x+x", "3x", "-y", "y-x", "int64(2)x"])
+def test_linear_operations_refuse_to_wrap(make, wraps_to):
+    # over C4 with x = 2^62 e and y = -2^63 e, int64 arithmetic would
+    # give the wrapped value silently
+    G = cyclic(4)
+    x = GroupRingElement(G, [2 ** 62, 0, 0, 0])
+    y = GroupRingElement(G, [-2 ** 63, 0, 0, 0])
+    with pytest.raises(GroupRingError, match="at position 0 does not fit "
+                                             "in int64") as info:
+        make(x, y)
+    assert str(wraps_to) not in str(info.value)
+
+
+def test_linear_operations_are_exact_near_the_int64_ends():
+    # the Python-int bounds from the extremes would overflow here, but
+    # no entry does: the exact path must accept
+    G = cyclic(4)
+    top, bottom = 2 ** 63 - 1, -2 ** 63
+    a = GroupRingElement(G, [top, bottom + 1, 0, 1])
+    b = GroupRingElement(G, [bottom + 1, top, 0, -1])
+    assert (a + b).vec.tolist() == [0, 0, 0, 0]
+    assert (a - a).vec.tolist() == [0, 0, 0, 0]
+    assert (-a).vec.tolist() == [-top, top, 0, -1]
+    assert (-1 * a).vec.tolist() == [-top, top, 0, -1]
+    assert (a + b).vec.dtype == (-a).vec.dtype == np.int64
+
+
 def test_noncommutative_convolution():
     G = quaternion8()
     a_el = G.index[(0, 1)]

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import re
@@ -8,6 +9,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdslink.constructions import q8_system_2r, theorem_1_2_rds
 from rdslink.ff import field_make
@@ -92,7 +95,8 @@ def test_audit_rejects_one_row_swap_in_c3_7():
     # order 2187: sampled associativity triples missed this swap
     t = elementary_abelian(3, 7).table.copy()
     t[1, [1, 2]] = t[1, [2, 1]]
-    with pytest.raises(GroupError, match="associativity fails at a="):
+    with pytest.raises(GroupError, match=re.escape(
+            "permutation check: column 2 repeats 2 (at rows 0 and 1)")):
         FiniteGroup(t)
 
 
@@ -101,7 +105,8 @@ def test_audit_rejects_nonassociative_loop():
     # (1 1) 2 = 2 while 1 (1 2) = 1 3 = 4
     loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
             [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
-    with pytest.raises(GroupError, match="associativity fails at a="):
+    with pytest.raises(GroupError, match=re.escape(
+            "commutation check: t (z s) != (t z) s at t=1, z=1, s=2")):
         FiniteGroup(loop)
 
 
@@ -110,11 +115,28 @@ def _associative(t):
     return np.array_equal(t[t], t[:, t])
 
 
+def _is_group(t):
+    """Brute force: 0 a two-sided identity, every row and column a
+    permutation, and (x y) z == x (y z) for all v^3 triples, one x at a
+    time."""
+    v = len(t)
+    ident = np.arange(v)
+    if not (np.array_equal(t[0], ident) and np.array_equal(t[:, 0], ident)
+            and (np.sort(t, axis=0) == ident[:, None]).all()
+            and (np.sort(t, axis=1) == ident).all()):
+        return False
+    return all(np.array_equal(t[t[x]], t[x][t]) for x in range(v))
+
+
+CHECKS = ("permutation check", "walk check", "commutation check",
+          "row check")
+
+
 @pytest.mark.parametrize("make", [quaternion8,
                                   lambda: elementary_abelian(2, 3),
                                   lambda: extraspecial_mp3(3)],
                          ids=["Q8", "C2^3", "M27"])
-def test_light_agrees_with_brute_force_on_every_row_swap(make):
+def test_audit_agrees_with_brute_force_on_every_row_swap(make):
     base = make().table
     v = len(base)
     assert _associative(base)
@@ -126,9 +148,125 @@ def test_light_agrees_with_brute_force_on_every_row_swap(make):
                 FiniteGroup(t)
                 accepted = True
             except GroupError as exc:
-                assert "associativity" in str(exc)
+                assert str(exc).startswith(CHECKS)
                 accepted = False
             assert accepted == _associative(t), (row, c1, c2)
+
+
+PROPERTY_GROUPS = {  # small enough for the v^3 brute force
+    "C3^5": lambda: elementary_abelian(3, 5),
+    "M27": lambda: extraspecial_mp3(3),
+    "Q8*Q8": lambda: _central_square(quaternion8),
+    "C2^7": lambda: elementary_abelian(2, 7),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _property_table(name):
+    return PROPERTY_GROUPS[name]().table
+
+
+@st.composite
+def _relabeled_and_mutated(draw):
+    """A group table relabeled by a permutation that fixes 0 (another
+    group table), then left alone, with two cells of one row swapped,
+    or with one cell rewritten."""
+    name = draw(st.sampled_from(sorted(PROPERTY_GROUPS)))
+    base = _property_table(name)
+    v = len(base)
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    perm = np.r_[0, 1 + np.random.default_rng(seed).permutation(v - 1)]
+    t = np.empty_like(base)
+    t[np.ix_(perm, perm)] = perm[base]
+    kind = draw(st.sampled_from(["none", "swap", "rewrite"]))
+    r, c = draw(st.integers(0, v - 1)), draw(st.integers(0, v - 1))
+    if kind == "swap":
+        c2 = (c + draw(st.integers(1, v - 1))) % v
+        t[r, [c, c2]] = t[r, [c2, c]]
+    elif kind == "rewrite":
+        t[r, c] = (int(t[r, c]) + draw(st.integers(1, v - 1))) % v
+    return name, kind, t
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(_relabeled_and_mutated())
+def test_audit_accepts_exactly_the_groups(case):
+    name, kind, t = case
+    try:
+        FiniteGroup(t)
+        accepted = True
+    except GroupError as exc:
+        assert str(exc).startswith(
+            CHECKS + ("index 0 is not a two-sided identity",))
+        accepted = False
+    assert accepted == _is_group(t) == (kind == "none"), (name, kind)
+
+
+def _cayley_dickson(n):
+    """The 2 * 2^n units +-e_i of the Cayley-Dickson algebra of
+    dimension 2^n, +-e_i at index i + 2^n * (sign is -), under
+    (a, b)(c, d) = (a c - d* b, d a + b c*): Q8 at n = 2, the octonion
+    loop at n = 3."""
+    def unit(i, j, n):  # e_i e_j = sign * e_k, as (sign, k)
+        if n == 0:
+            return 1, 0
+        h = 1 << (n - 1)
+        conj = 1 if j % h == 0 else -1  # conj(e_j) = conj * e_j
+        if i < h and j < h:
+            return unit(i, j, n - 1)
+        if i < h:  # (a, 0)(0, d) = (0, d a)
+            s, k = unit(j - h, i, n - 1)
+            return s, k + h
+        if j < h:  # (0, b)(c, 0) = (0, b c*)
+            s, k = unit(i - h, j, n - 1)
+            return conj * s, k + h
+        s, k = unit(j - h, i - h, n - 1)  # (0, b)(0, d) = (-d* b, 0)
+        return -conj * s, k
+
+    m = 1 << n
+    t = np.zeros((2 * m, 2 * m), dtype=np.int64)
+    for x, y in itertools.product(range(2 * m), repeat=2):
+        s, k = unit(x % m, y % m, n)
+        if (x >= m) != (y >= m):
+            s = -s
+        t[x, y] = k + (m if s < 0 else 0)
+    return t
+
+
+def test_audit_rejects_the_octonion_loop():
+    # doubling the quaternions gives a Moufang loop of order 16: 0 is a
+    # two-sided identity and every row and column is a permutation, but
+    # it is not associative.  Doubling once less gives Q8, a group
+    q8 = _cayley_dickson(2)
+    assert _is_group(q8)
+    assert FiniteGroup(q8).exponent() == 4
+    octonions = _cayley_dickson(3)
+    v = len(octonions)
+    assert (np.sort(octonions, axis=0) == np.arange(v)[:, None]).all()
+    assert (np.sort(octonions, axis=1) == np.arange(v)).all()
+    assert not _associative(octonions)
+    # the Moufang identity z (x (z y)) = ((z x) z) y for all x, y, z
+    t = octonions
+    x, y, z = np.indices((v, v, v))
+    assert np.array_equal(t[z, t[x, t[z, y]]], t[t[t[z, x], z], y])
+    with pytest.raises(GroupError, match=re.escape(
+            "commutation check: t (z s) != (t z) s at t=1, z=4, s=2")):
+        FiniteGroup(octonions)
+
+
+def test_audit_rejects_a_wrong_row_off_the_generators():
+    # only row y changes, and neither it nor the two columns swapped in
+    # it belongs to a generator: the generators' rows and columns are
+    # those of Heis(3), so only the row check can see the change
+    G = heisenberg(field_make(3), 1)
+    y, c1, c2 = [g for g in range(1, G.order) if g not in G.gens][:3]
+    t = G.table.copy()
+    t[y, [c1, c2]] = t[y, [c2, c1]]
+    assert not _is_group(t)
+    assert np.array_equal(t[G.gens], G.table[G.gens])
+    assert np.array_equal(t[:, G.gens], G.table[:, G.gens])
+    with pytest.raises(GroupError, match="row check"):
+        FiniteGroup(t)
 
 
 def _generated(G, gens):

@@ -25,6 +25,11 @@ def test_partition_axioms():
         SchurPartition(G, [(0,), (1, 3)])  # 2 not covered
 
 
+def test_partition_rejects_an_empty_class():
+    with pytest.raises(SRingError, match="class 2 is empty"):
+        SchurPartition(cyclic(4), [(0,), (1, 2, 3), ()])
+
+
 @pytest.mark.parametrize("classes, witness", [
     ([(0,), (2,), (1, 3, 4)], "class 2 has member 4,"),
     ([(0,), (2.0,), (1, 3)], "class 1 has member 2.0,"),
