@@ -10,13 +10,16 @@ the run verified.
 from __future__ import annotations
 
 import argparse
+import bisect
 import json
+import re
 import sys
 import warnings
 
 import numpy as np
 
 from . import constructions as cons
+from . import groups
 from .ff import field_make, is_prime
 from .groups import (FiniteGroup, GroupError, Subgroup,
                      check_integer_cells)
@@ -187,93 +190,185 @@ def cmd_construct(args):
 # verify
 
 
-_CHUNK = 1 << 20  # characters of an integer array parsed at a time
+_CHUNK = 1 << 20  # characters of a file read at a time
+_IN_STRING = re.compile(r'["\\]')  # in a string: its end, or an escape
+_OUTSIDE = re.compile(r'"|\[[ \t\n\r]*')  # a string, or an array and blanks
 # each byte's class: a digit "d", a comma, or else "x"
 _CLASS = bytes(ord("d") if 48 <= c <= 57 else c if c == ord(",")
                else ord("x") for c in range(256))
 _POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
 
 
-def _int_array(s: str, start: int):
+class _Reread(Exception):
+    """An array failed to read as integers after part of its text was
+    dropped."""
+
+
+def _int_piece(text: str):
+    """The nonnegative JSON integers of text, a run of an array cut at
+    commas, in the least unsigned dtype that holds them; None if the
+    text is anything else.
+
+    The text is read only if it holds digits, commas and JSON
+    whitespace alone, with digits before, between and after its commas,
+    and np.fromstring reads one number per comma-separated field; the
+    digits must then be exactly those of the numbers read, at most 18
+    each, which a leading zero, a number split by whitespace or an
+    overflow breaks."""
+    piece = text.encode("ascii", "replace")
+    tight = piece.translate(_CLASS, b" \t\n\r")
+    k = tight.count(b",") + 1
+    if (b"x" in tight or b",," in tight or not tight.startswith(b"d")
+            or not tight.endswith(b"d")):
+        return None
+    try:  # numpy 2 raises where numpy 1 warns, at text it cannot read
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            values = np.fromstring(piece, dtype=np.int64, sep=",")
+    except (ValueError, DeprecationWarning):
+        return None
+    if values.size != k:
+        return None
+    top = values.max()
+    # the digits of the numbers read: 1 each, plus 1 per power of 10 up
+    # to its value
+    if top >= _POW10[-1] or len(tight) - k + 1 != k + sum(
+            np.count_nonzero(values >= p) for p in _POW10[_POW10 <= top]):
+        return None
+    return values.astype(np.min_scalar_type(top))
+
+
+def _int_array(fh, text: str, start: int, path):
     """The array of nonnegative JSON integers whose text starts at
-    s[start], just after its "[", as one int64 array, with the index
-    after its "]"; None if that text is anything else.
+    text[start], just after its "[", read on from fh as needed, with the
+    text then held and the index after the "]" in it.
 
-    The text is read _CHUNK characters at a time, cut at commas, so it
-    never becomes a list of Python ints.  A piece is read only if it
-    holds digits, commas and JSON whitespace alone, with digits before,
-    between and after its commas, and np.fromstring reads one number
-    per comma-separated field; the digits must then be exactly those of
-    the numbers read, at most 18 each, which a leading zero, a number
-    split by whitespace or an overflow breaks."""
-    first = json.decoder.WHITESPACE.match(s, start).end()
-    if not "0" <= s[first:first + 1] <= "9":
-        return None
-    close = s.find("]", first)
-    if close < 0:
-        return None
-    out = np.empty(s.count(",", first, close) + 1, dtype=np.int64)
-    filled, cut = 0, start - 1
-    while cut < close:
+    The array is parsed from the text held, cut at its last comma, and
+    that text is dropped before the next _CHUNK characters are read, so
+    its v^2 entries never form one string or a Python int each.  If the
+    array is anything else, the result is (None, text, 0), with more
+    text appended but none dropped, or _Reread once a piece was parsed
+    (its text may be gone).  An array longer than any table the budget
+    admits is a GroupError."""
+    pieces, count = [], 0
+    while True:
+        close = text.find("]", start)
+        cut = close if close >= 0 else text.rfind(",", start)
+        if cut < 0:
+            chunk = fh.read(_CHUNK)
+            if not chunk:
+                break
+            if pieces:
+                text, start = text[start:], 0
+            text += chunk
+            continue
+        values = _int_piece(text[start:cut])
+        if values is None:
+            break
+        count += values.size
+        if count > groups.TABLE_BYTES // 2:
+            raise GroupError(f"{path}: an array of more than "
+                             f"{groups.TABLE_BYTES // 2:,} integers is "
+                             f"longer than any table the budget admits")
+        pieces.append(values)
+        if cut == close:
+            array = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+            return array, text, close + 1
         start = cut + 1
-        cut = s.find(",", min(start + _CHUNK, close), close)
-        cut = close if cut < 0 else cut
-        piece = s[start:cut].encode("ascii", "replace")
-        tight = piece.translate(_CLASS, b" \t\n\r")
-        k = tight.count(b",") + 1
-        if (b"x" in tight or b",," in tight or not tight.startswith(b"d")
-                or not tight.endswith(b"d")):
-            return None
-        try:  # numpy 2 raises where numpy 1 warns, at text it cannot read
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", DeprecationWarning)
-                values = np.fromstring(piece, dtype=np.int64, sep=",")
-        except (ValueError, DeprecationWarning):
-            return None
-        if values.size != k:
-            return None
-        top = values.max()
-        # the digits of the numbers read: 1 each, plus 1 per power of 10
-        # up to its value
-        if top >= _POW10[-1] or len(tight) - k + 1 != k + sum(
-                np.count_nonzero(values >= p) for p in _POW10[_POW10 <= top]):
-            return None
-        out[filled:filled + k] = values
-        filled += k
-    return out, close + 1
+    if pieces:
+        raise _Reread
+    return None, text, 0
 
 
-class _TableDecoder(json.JSONDecoder):
-    """json's decoder, except that an array of nonnegative integers is
-    read into one int64 array without a Python int per entry.  Objects
-    go to json.decoder.JSONObject, whose values come back here; every
-    other value, and every other array, valid or not, goes whole to
-    json's own scanner, so its value or error is that of json.load."""
+def _split(fh, path):
+    """The text of fh, read _CHUNK characters at a time, with each array
+    of nonnegative integers outside strings cut to "[]"; and a dict from
+    each cut's position in that text to its array (see _int_array)."""
+    skeleton, arrays, size = [], {}, 0
+    text, pos, mark = fh.read(_CHUNK), 0, 0  # text[mark:pos] is unkept
+    in_string = False
+    while True:
+        m = (_IN_STRING if in_string else _OUTSIDE).search(text, pos)
+        if m is None or m.end() == len(text) and m.group() != '"':
+            # the rest of text, or an escape or "[" whose next character
+            # is not yet read, waits for the next chunk
+            keep = len(text) if m is None else m.start()
+            chunk = fh.read(_CHUNK)
+            if not chunk:
+                break
+            skeleton.append(text[mark:keep])
+            size += keep - mark
+            text, pos, mark = text[keep:] + chunk, 0, 0
+        elif m.group() == '"':
+            in_string = not in_string
+            pos = m.end()
+        elif in_string:  # an escape: skip the character it escapes
+            pos = m.end() + 1
+        elif not "0" <= text[m.end()] <= "9":
+            pos = m.end()
+        else:
+            opening = m.start()
+            skeleton.append(text[mark:opening])
+            size += opening - mark
+            array, text, end = _int_array(fh, text, opening + 1, path)
+            if array is None:
+                mark, pos = opening, opening + 1
+            else:
+                arrays[size] = array
+                skeleton.append("[]")
+                size += 2
+                mark = pos = end
+    skeleton.append(text[mark:])
+    return "".join(skeleton), arrays
 
-    def __init__(self, **kwargs):
-        super().__init__(**kwargs)
-        json_scan = self.scan_once
 
-        def scan_once(s, idx):
-            if s.startswith("{", idx):
-                return json.decoder.JSONObject(
-                    (s, idx + 1), self.strict, scan_once, self.object_hook,
-                    self.object_pairs_hook)
-            if s.startswith("[", idx):
-                return _int_array(s, idx + 1) or json_scan(s, idx)
-            return json_scan(s, idx)
+def _decode(skeleton: str, arrays: dict):
+    """The value of skeleton, with the array stored at each cut in place
+    of its "[]".  Objects, and arrays with a cut inside, are walked by
+    json.decoder's JSONObject and JSONArray, so every cut is found;
+    every other value goes to json's own scanner."""
+    decoder = json.JSONDecoder()
+    json_scan = decoder.scan_once
+    cuts = list(arrays)  # in increasing order
+    memo = {}
 
-        def scan_document(s, idx):
-            try:
-                return scan_once(s, idx)
-            except RecursionError:  # nested deeper than Python frames allow
-                return json_scan(s, idx)
+    def scan_once(s, idx):
+        if idx in arrays:
+            return arrays.pop(idx), idx + 2
+        if s.startswith("{", idx):
+            return json.decoder.JSONObject(
+                (s, idx + 1), decoder.strict, scan_once, decoder.object_hook,
+                decoder.object_pairs_hook, memo)
+        value, end = json_scan(s, idx)
+        if s.startswith("[", idx):
+            inner = bisect.bisect(cuts, idx)
+            if inner < len(cuts) and cuts[inner] < end:
+                return json.decoder.JSONArray((s, idx + 1), scan_once)
+        return value, end
 
-        self.scan_once = scan_document
+    decoder.scan_once = scan_once
+    return decoder.decode(skeleton)
+
+
+def _read_json(path):
+    """The value json.load gives for the file at path, except that each
+    array of nonnegative integers is one numpy array, in the least
+    unsigned dtype that holds it; the file's text is never held whole.
+    Where the text is not JSON, or an array fails once part of its text
+    was dropped, the file is read again with json.load, so the value or
+    the error is json.load's own."""
+    try:
+        with open(path) as fh:
+            return _decode(*_split(fh, path))
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError,
+            _Reread):
+        pass
+    with open(path) as fh:
+        return json.load(fh)
 
 
 def _listed(obj):
-    """A parsed value with each array that _TableDecoder made a list,
+    """A parsed value with each array that _read_json made a list,
     as json.load returns it."""
     if isinstance(obj, np.ndarray):
         return obj.tolist()
@@ -318,12 +413,13 @@ def _load_group(path, spec) -> FiniteGroup:
                          f"found {n}; position {min(n, v * v)} is wrong")
     if isinstance(flat, list):  # not read as nonnegative integers
         check_integer_cells(flat, (v, v))
-    try:
-        table = np.asarray(flat, dtype=np.int64).reshape(v, v)
-    except OverflowError:
-        raise GroupError(f"{path}: table entries out of range") from None
-    del flat
-    return FiniteGroup(table, labels=labels, name=spec.get("name", "group"))
+        try:
+            flat = np.asarray(flat, dtype=np.int64)
+        except OverflowError:
+            raise GroupError(f"{path}: table entries out of range") from None
+    # FiniteGroup range-checks the entries before it narrows them
+    return FiniteGroup(flat.reshape(v, v), labels=labels,
+                       name=spec.get("name", "group"))
 
 
 def _load_sets(path, data):
@@ -368,8 +464,7 @@ def cmd_verify(args):
 
     def load(path):
         if path not in docs:
-            with open(path) as fh:
-                docs[path] = json.load(fh, cls=_TableDecoder)
+            docs[path] = _read_json(path)
         return docs[path]
 
     def forbidden(X) -> Subgroup:

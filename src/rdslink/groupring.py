@@ -59,10 +59,6 @@ class GroupRingElement:
         vec[idx.astype(np.int64)] = 1
         return cls(group, vec)
 
-    @classmethod
-    def basis(cls, group: FiniteGroup, g: int) -> "GroupRingElement":
-        return cls.indicator(group, [g])
-
     def _check(self, other):
         if not isinstance(other, GroupRingElement):
             raise TypeError("expected a GroupRingElement")

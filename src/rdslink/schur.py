@@ -160,8 +160,8 @@ def amorphic_latin(F: Field, t: int, labeling=None):
 
     Returns (G, sets) where sets[h] for h = 0..t-1 (0 playing the role
     of the identity label) unions the lines of cell P_h.  The partition
-    is re-verified as an S-ring and against the two-case product
-    relation before it is returned.
+    is re-verified as an S-ring, and its structure constants against
+    the two-case product relation, before it is returned.
     """
     n = F.q
     if t < 1 or n % t != 0:
@@ -183,39 +183,21 @@ def amorphic_latin(F: Field, t: int, labeling=None):
         for i in cell:
             members.extend(lines[i])
         sets[h] = tuple(sorted(members))
-    if t > 1:
-        P = SchurPartition(G, [(0,)] + [sets[h] for h in range(t)])
-        verify_sring(P)
-    ok, witness = check_amorph_relations(G, sets, n)
-    if not ok:
-        raise SRingError(f"amorph relation fails at pair {witness}")
-    return G, sets
-
-
-def check_amorph_relations(G: FiniteGroup, sets: dict, n: int):
-    """Exact verdict on the two-case Latin-square product relation:
-
-      X_h * X_h  = k_h(n-1) e + (n - 2 k_h) X_h + k_h(k_h - 1) G^#
-      X_h * X_h' = k_h k_h' G^# - k_h' X_h - k_h X_h'   (h != h')
-
-    with k_h = |X_h| / (n-1).  Returns (True, None) or
-    (False, first offending pair)."""
-    e = GroupRingElement.basis(G, 0)
-    allg = GroupRingElement.indicator(G, range(G.order))
-    gsharp = allg - e
-    ind = {h: GroupRingElement.indicator(G, s) for h, s in sets.items()}
-    k = {}
-    for h, s in sets.items():
-        if len(s) % (n - 1):
-            return False, (h, h)
-        k[h] = len(s) // (n - 1)
-    for h, h2 in itertools.product(sets, repeat=2):
-        lhs = ind[h] * ind[h2]
+    # c[h, h'] holds X_h * X_h' over the classes e, X_0, ..., X_{t-1};
+    # with k_h = |X_h| / (n-1), the number of lines in cell P_h:
+    #   X_h * X_h  = k_h(n-1) e + (n - 2 k_h) X_h + k_h(k_h - 1) G^#
+    #   X_h * X_h' = k_h k_h' G^# - k_h' X_h - k_h X_h'   (h != h')
+    P = SchurPartition(G, [(0,)] + [sets[h] for h in range(t)])
+    c = verify_sring(P).tensor[1:, 1:]
+    k = [len(cell) for cell in labeling]
+    for h, h2 in itertools.product(range(t), repeat=2):
         if h == h2:
-            rhs = (k[h] * (n - 1)) * e + (n - 2 * k[h]) * ind[h] \
-                + (k[h] * (k[h] - 1)) * gsharp
+            want = [k[h] * (n - 1)] + [k[h] * (k[h] - 1)] * t
+            want[h + 1] += n - 2 * k[h]
         else:
-            rhs = (k[h] * k[h2]) * gsharp - k[h2] * ind[h] - k[h] * ind[h2]
-        if lhs != rhs:
-            return False, (h, h2)
-    return True, None
+            want = [0] + [k[h] * k[h2]] * t
+            want[h + 1] -= k[h2]
+            want[h2 + 1] -= k[h]
+        if c[h, h2].tolist() != want:
+            raise SRingError(f"amorph relation fails at pair {(h, h2)}")
+    return G, sets

@@ -155,7 +155,7 @@ def _check_dps_products(ambient, N, endos, fams, n, t, p):
     inverse pairs included.  The inverse case is n^2 e + (n^2/t)
     (HxG - H): the forbidden subgroup is missed entirely, as the RDS
     property demands."""
-    e = GroupRingElement.basis(ambient, 0)
+    e = GroupRingElement.indicator(ambient, [0])
     allg = GroupRingElement.indicator(ambient, range(ambient.order))
     hh = GroupRingElement.indicator(ambient, N.members)
     ind = {k: GroupRingElement.indicator(ambient, fams[k])

@@ -6,11 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rdslink import cli
+from rdslink import cli, groups
 from rdslink.cli import main
 from rdslink.constructions import theorem_1_2_rds
-from rdslink.groups import (FiniteGroup, cyclic, elementary_abelian,
-                            quaternion8)
+from rdslink.groups import (FiniteGroup, GroupError, cyclic,
+                            elementary_abelian, quaternion8)
 from rdslink.rds import RdsError
 
 
@@ -457,13 +457,13 @@ def test_verify_parses_each_file_once(bundles, tmp_path, monkeypatch):
     forbidden = tmp_path / "forbidden.json"
     forbidden.write_text(json.dumps(load(bundle)["forbidden"]))
     parsed = []
-    json_load = json.load
+    read_json = cli._read_json
 
-    def counting(fh, **kwargs):
-        parsed.append(fh.name)
-        return json_load(fh, **kwargs)
+    def counting(path):
+        parsed.append(path)
+        return read_json(path)
 
-    monkeypatch.setattr(json, "load", counting)
+    monkeypatch.setattr(cli, "_read_json", counting)
     report = tmp_path / "rep.json"
     assert run(["verify", "rds", "--group", bundle, "--sets", bundle,
                 "--forbidden", str(forbidden), "--out", str(report)]) == 0
@@ -528,11 +528,23 @@ def _typed(obj):
     return type(obj), obj
 
 
-def _parsed(loads, text):
+def _json_load(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def _parsed(read, path):
     try:
-        return "value", _typed(cli._listed(loads(text)))
+        return "value", _typed(cli._listed(read(path)))
     except Exception as exc:
         return type(exc), str(exc)
+
+
+def _reads_as_json(path, text):
+    """Whether _read_json gives json.load's value, with its types, or its
+    exception type and message, on a file holding text."""
+    path.write_text(text)
+    return _parsed(cli._read_json, path) == _parsed(_json_load, path)
 
 
 LABELED = json.dumps({"labels": ["e]", "café χ", "[2", "3"],
@@ -540,10 +552,12 @@ LABELED = json.dumps({"labels": ["e]", "café χ", "[2", "3"],
                       "table": [0, 1, 2, 3, 1, 0, 3, 2, 2, 3, 0, 1,
                                 3, 2, 1, 0]}, ensure_ascii=False)
 
-# a piece ends at the first comma _CHUNK or more characters into it:
-# the small sizes cut "[10,20,30,]" at its trailing comma, and put a
-# cut right before or after the whitespace-split pair of the two texts
-# after it
+# the file is read _CHUNK characters at a time, and an integer array
+# held unfinished at the end of the text read is cut at its last comma:
+# the small sizes cut "[10,20,30,]" at its trailing comma, put a cut
+# right before or after the whitespace-split pair of the two texts after
+# it, end a read on the backslash of an escape, and split "[1, null]"
+# after its comma
 READER_CORPUS = [
     "[]", "[0]", "[1 2]", "[01]", "[+1]", "[1,]", "[,1]", "[1,,2]",
     "[-1]", "[2.5]", "[true, 1]", "[1e3]", '["1"]', "[[1],[2]]",
@@ -552,6 +566,10 @@ READER_CORPUS = [
     "[1, 2]]", "[1, 2] x", '{"a": [1, [2, 3]], "b": [4], "c": [5 6]}',
     "[10,20,30,]", "[10,20,30 40]", "[10,20 30,40]", "[10,20, 30]",
     "[01, ,2]", "[1, ,2]", "[10,20,3٣]", '{"a": 3٣}',
+    '["[1, 2]", [3]]', '{"label": "x [10, 20]"}', '["\\\\", [1]]',
+    '["\\\\"[1]]', '["a\\"[1]", [2]]', '["ab\\\\", "\\u005b1]"]',
+    "[1, null]", '{"psi": [[0, 1], [1, null], [22, 3]]}',
+    '{"t": [10, 20, 30', "\ufeff[1]", '\ufeff{"a": [1]}',
     # deeper than the reader's Python frames allow, and than json's own
     pytest.param("[" * 700 + "]" * 700, id="nested-700"),
     pytest.param('{"a": ' * 700 + "[1]" + "}" * 700, id="objects-700"),
@@ -559,32 +577,67 @@ READER_CORPUS = [
     pytest.param(LABELED, id="labeled-group")]
 
 
-@pytest.mark.parametrize("chunk", [1, 3, 6, 1 << 20])
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5, 6, 17, 1 << 20])
 @pytest.mark.parametrize("text", READER_CORPUS)
-def test_reader_matches_json(monkeypatch, chunk, text):
+def test_reader_matches_json(tmp_path, monkeypatch, chunk, text):
     monkeypatch.setattr(cli, "_CHUNK", chunk)
-    assert _parsed(lambda t: json.loads(t, cls=cli._TableDecoder),
-                   text) == _parsed(json.loads, text)
+    assert _reads_as_json(tmp_path / "doc.json", text)
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 1 << 20])
-def test_reader_matches_json_on_every_short_array(monkeypatch, chunk):
+def test_reader_matches_json_on_every_short_array(tmp_path, monkeypatch,
+                                                  chunk):
     monkeypatch.setattr(cli, "_CHUNK", chunk)
     for n in range(6):
         for chars in itertools.product("01, ]", repeat=n):
             text = "[" + "".join(chars) + "]"
-            assert _parsed(lambda t: json.loads(t, cls=cli._TableDecoder),
-                           text) == _parsed(json.loads, text), text
+            assert _reads_as_json(tmp_path / "doc.json", text), text
 
 
 @pytest.mark.parametrize("chunk", [1, 5, 1 << 20])
-def test_reader_makes_one_array_per_integer_list(monkeypatch, chunk):
+def test_reader_makes_one_array_per_integer_list(tmp_path, monkeypatch,
+                                                 chunk):
     monkeypatch.setattr(cli, "_CHUNK", chunk)
-    doc = json.loads(LABELED, cls=cli._TableDecoder)
+    path = tmp_path / "doc.json"
+    path.write_text(LABELED)
+    doc = cli._read_json(path)
     assert isinstance(doc["table"], np.ndarray)
-    assert doc["table"].dtype == np.int64
+    assert doc["table"].dtype == np.uint8  # the least that holds 0..3
     assert doc["table"].tolist() == json.loads(LABELED)["table"]
     assert doc["labels"] == json.loads(LABELED)["labels"]
+    # the least unsigned dtype of the whole array, whichever piece holds
+    # its largest entry
+    for top, dtype in [(255, np.uint8), (256, np.uint16),
+                       (65536, np.uint32), (10 ** 17, np.uint64)]:
+        path.write_text(json.dumps({"t": [top, 1, 2, 3], "u": [1, 2, top]}))
+        doc = cli._read_json(path)
+        assert [doc[k].dtype for k in "tu"] == [dtype, dtype]
+        assert [doc[k].tolist() for k in "tu"] == [[top, 1, 2, 3],
+                                                   [1, 2, top]]
+
+
+def test_reader_refuses_an_array_longer_than_any_table(tmp_path,
+                                                       monkeypatch):
+    # a budget of 200 bytes admits tables up to 10 x 10
+    monkeypatch.setattr(groups, "TABLE_BYTES", 200)
+    monkeypatch.setattr(cli, "_CHUNK", 16)
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"a": list(range(100))}))
+    assert cli._read_json(path)["a"].tolist() == list(range(100))
+    path.write_text(json.dumps({"a": list(range(101))}))
+    with pytest.raises(GroupError, match=f"^{path}: an array of more than "
+                                         f"100 integers is longer"):
+        cli._read_json(path)
+    bundle = tmp_path / "c11.json"
+    bundle.write_text(json.dumps({"group": {"order": 11, "table": [
+        (i + j) % 11 for i in range(11) for j in range(11)]},
+        "set": {"indices": [0, 1]}}))
+    report = tmp_path / "rep.json"
+    assert run(["verify", "rds", "--group", str(bundle), "--sets",
+                str(bundle), "--out", str(report)]) == 1
+    assert load(report)["error"] == (
+        f"GroupError: {bundle}: an array of more than 100 integers is "
+        f"longer than any table the budget admits")
 
 
 @pytest.fixture(scope="module")
@@ -596,21 +649,24 @@ def thm12_r3(tmp_path_factory):
 
 
 def test_loading_the_order_2187_bundle_holds_no_int_per_entry(thm12_r3):
-    # reading holds the file's bytes and its text at once (2 x 55 MB);
-    # the table is one 38 MB int64 array.  As a list of Python ints the
-    # same load peaks at 213 MB.
+    # the reader holds about 1 MB of the file's text at a time, and the
+    # table's pieces and their join, each a 9.6 MB uint16 array.  Reading
+    # the file whole holds its bytes and its text at once (2 x 55 MB); as
+    # a list of Python ints the same load peaks at 213 MB.
     size = thm12_r3.stat().st_size
     tracemalloc.start()
     try:
-        with open(thm12_r3) as fh:
-            G = cli._load_group(thm12_r3, json.load(fh,
-                                                    cls=cli._TableDecoder))
+        doc = cli._read_json(thm12_r3)
+        flat = doc["group"]["table"]
+        G = cli._load_group(thm12_r3, doc)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert G.table.dtype == np.uint16
+    assert np.shares_memory(G.table, flat)  # the reader's own array
     assert np.array_equal(G.table, theorem_1_2_rds(3, 3)[0].table)
     assert size > 55_000_000
-    assert peak < 2.2 * size
+    assert peak < 0.5 * size
 
 
 def _with_group(bundle, tmp_path, **fields):

@@ -51,7 +51,7 @@ def test_ring_laws_random_triples():
 
 def test_identity_element():
     G = quaternion8()
-    e = GroupRingElement.basis(G, 0)
+    e = GroupRingElement.indicator(G, [0])
     a = GroupRingElement.indicator(G, [1, 4, 7])
     assert e * a == a and a * e == a
 
@@ -197,8 +197,8 @@ def test_noncommutative_convolution():
     G = quaternion8()
     a_el = G.index[(0, 1)]
     b_el = G.index[(1, 0)]
-    x = GroupRingElement.basis(G, a_el)
-    y = GroupRingElement.basis(G, b_el)
+    x = GroupRingElement.indicator(G, [a_el])
+    y = GroupRingElement.indicator(G, [b_el])
     assert x * y != y * x
     assert (x * y).support() == (G.mul(a_el, b_el),)
 

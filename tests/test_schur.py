@@ -4,12 +4,12 @@ import re
 import numpy as np
 import pytest
 
+from rdslink import schur
 from rdslink.ff import field_make
 from rdslink.groups import cyclic, automorphism_from_images
 from rdslink.schur import (SchurPartition, SRingError, affine_plane_group,
-                           amorphic_latin, check_amorph_relations, cyclotomic,
-                           default_labeling, lines_through_origin,
-                           verify_sring)
+                           amorphic_latin, cyclotomic, default_labeling,
+                           lines_through_origin, verify_sring)
 
 
 def test_partition_axioms():
@@ -102,8 +102,24 @@ def test_amorphic_latin_sizes_and_relations():
     G, sets = amorphic_latin(F, 2)
     assert len(sets[0]) == 3 * 3  # (n/t + 1)(n - 1)
     assert len(sets[1]) == 2 * 3
-    ok, witness = check_amorph_relations(G, sets, 4)
-    assert ok and witness is None
+    # k = (3, 2): X_0^2 = 9e + 4X_0 + 6X_1, X_0 X_1 = 4X_0 + 3X_1 and
+    # X_1^2 = 6e + 2X_0 + 2X_1, by the two-case relation
+    tensor = verify_sring(_amorphic_partition(G, sets)).tensor
+    assert tensor[1:, 1:].tolist() == [[[9, 4, 6], [0, 4, 3]],
+                                       [[0, 4, 3], [6, 2, 2]]]
+
+
+def test_amorphic_latin_rejects_a_tensor_off_the_relation(monkeypatch):
+    # every labeling satisfies the relation, so a wrong structure
+    # constant is planted where amorphic_latin reads them
+    def planted(P):
+        sc = verify_sring(P)
+        sc.tensor[2, 1, 0] += 1
+        return sc
+
+    monkeypatch.setattr(schur, "verify_sring", planted)
+    with pytest.raises(SRingError, match=r"relation fails at pair \(1, 0\)"):
+        amorphic_latin(field_make(2, 2), 2)
 
 
 def test_amorphic_latin_trivial_fusion():
@@ -115,12 +131,11 @@ def test_amorphic_latin_trivial_fusion():
 def test_perturbed_labeling_rejected():
     F = field_make(2, 2)
     G, sets = amorphic_latin(F, 2)
-    # move one element between cells: relation must fail
+    # move one element between cells: no S-ring, so no relation holds
     bad = {0: tuple(sorted(set(sets[0]) - {sets[0][0]} | {sets[1][0]})),
            1: tuple(sorted(set(sets[1]) - {sets[1][0]} | {sets[0][0]}))}
-    ok, witness = check_amorph_relations(G, bad, 4)
-    assert not ok
-    assert witness is not None
+    with pytest.raises(SRingError, match="not constant"):
+        verify_sring(_amorphic_partition(G, bad))
 
 
 def test_amorphic_latin_bad_t():
