@@ -13,7 +13,7 @@ import numpy as np
 
 from .ff import Field
 from .groups import (CentralProduct, FiniteGroup, GroupError, Subgroup,
-                     is_transversal)
+                     _check_budget, is_transversal)
 from .groupring import GroupRingElement, class_values
 
 
@@ -296,20 +296,8 @@ def rds_product(cp: CentralProduct, c1: RdsCertificate,
 # graphs
 
 
-# OpenBLAS keeps every page of its packing buffer that a product has
-# touched for the life of the process: about 1.7 MB after a 729 x 729
-# float32 product, about 0.4 MB when it is taken 128 columns at a time
-_COLUMNS = 128
-
-
-def _matmul(x, y, out):
-    """out = x @ y, computed _COLUMNS columns at a time."""
-    for c in range(0, y.shape[1], _COLUMNS):
-        np.matmul(x, y[:, c:c + _COLUMNS], out=out[:, c:c + _COLUMNS])
-
-
-def certify_drg3(adj: np.ndarray, group: FiniteGroup | None = None):
-    """Certify a diameter-3 distance-regular graph.
+def certify_drg3(adj: np.ndarray, group: FiniteGroup):
+    """Certify a Cayley graph on group as diameter-3 distance-regular.
 
     Returns (IntersectionArray, antipodal classes) where the classes
     are the equivalence classes of the distance-0-or-3 relation, each
@@ -318,21 +306,16 @@ def certify_drg3(adj: np.ndarray, group: FiniteGroup | None = None):
     distance-3 relation is not an equivalence.  WrongDiameter takes
     precedence over NotDistanceRegular.
 
-    Without group, any graph: the search runs from every base vertex
-    at once, in O(v^3) time and about four v x v matrices (see
-    _drg3_every_base).
-
-    With group G, adj must be a Cayley graph on G's elements, such as
-    cayley_adjacency(G, S), and the search runs from one base.  Each
-    right translation x -> x.g by a generator g in G.gens is first
-    checked to be an automorphism, adj[x.g, y.g] == adj[x, y] for every
-    x, y (NotTranslationInvariant otherwise).  G.gens generates G, so
-    x -> x.w is an automorphism carrying e to w for every w: the graph
-    is vertex-transitive, and the distances and intersection numbers
-    seen from e are those seen from every base.  adj[x, y] is then
-    adj[e, y.x^-1], so row e alone decides symmetry and loops.  One
-    breadth-first search from e then certifies the array, with
-    witnesses (0, w).
+    adj must be a Cayley graph on G = group's elements, such as
+    cayley_adjacency(G, S).  Each right translation x -> x.g by a
+    generator g in G.gens is first checked to be an automorphism,
+    adj[x.g, y.g] == adj[x, y] for every x, y (NotTranslationInvariant
+    otherwise).  G.gens generates G, so x -> x.w is an automorphism
+    carrying e to w for every w: the graph is vertex-transitive, and
+    the distances and intersection numbers seen from e are those seen
+    from every base.  adj[x, y] is then adj[e, y.x^-1], so row e alone
+    decides symmetry and loops.  One breadth-first search from e then
+    certifies the array, with witnesses (0, w).
     d(x, y) = d(e, y.x^-1), so the distance-3 relation is an
     equivalence exactly when C = {w : d(e, w) in {0, 3}} is closed
     under the product, and its classes are the right cosets C.w.  The
@@ -341,78 +324,12 @@ def certify_drg3(adj: np.ndarray, group: FiniteGroup | None = None):
     matrix is built.
     """
     adj = np.asarray(adj, dtype=bool)
-    if group is None:
-        if adj.diagonal().any() or not np.array_equal(adj, adj.T):
-            raise RdsError("adjacency must be symmetric and loop-free")
-        return _drg3_every_base(adj)
     if adj.shape != (group.order,) * 2:
         raise RdsError(f"adjacency has {adj.shape[0]} vertices (shape "
                        f"{adj.shape}) but {group.name} has order "
                        f"{group.order}")
-    return _drg3_one_base(adj, group)
-
-
-def _drg3_every_base(adj: np.ndarray):
-    """certify_drg3 for any graph.  One breadth-first search runs from
-    all bases at once: row u of the int8 matrix dist holds the
-    distances from base u, and step d multiplies the 0/1 matrix of
-    layer d by the adjacency matrix (float32)."""
-    v = adj.shape[0]
-    A = adj.astype(np.float32)
-    dist = np.full((v, v), -1, dtype=np.int8)
-    np.fill_diagonal(dist, 0)
-    layer = np.eye(v, dtype=np.float32)
-    counts = np.empty((v, v), dtype=np.float32)
-    nums, varies = {}, None
-    for d in range(4):
-        # counts[u, w] = neighbours of w at distance d from base u.  The
-        # float32 sums are exact: a count is at most v, and v < 2**24 for
-        # any v x v matrix that fits in memory (group tables stop at 32768)
-        _matmul(layer, A, counts)
-        new = (counts > 0) & (dist < 0)
-        dist[new] = d + 1
-        # c_(d+1) on the new layer, b_(d-1) on layer d - 1
-        checks = [(f"c_{d + 1}", new)] if d < 3 else []
-        if d:
-            checks.append((f"b_{d - 1}", dist == d - 1))
-        for key, mask in checks:
-            if not mask.any():
-                continue
-            first = int(mask.argmax())
-            nums[key] = int(counts.flat[first])
-            off = mask & (counts != nums[key])
-            if varies is None and off.any():
-                u, w = divmod(int(off.argmax()), v)
-                varies = NotDistanceRegular(
-                    f"{key} is {int(counts[u, w])} at base {u}, "
-                    f"vertex {w} but {nums[key]} at base {first // v}, "
-                    f"vertex {first % v}", witness=(u, w))
-        np.copyto(layer, new)
-    # every base must see distance 3 and nothing beyond it (-1 is beyond
-    # 4 or unreachable); this takes precedence over a varying count
-    wrong = np.flatnonzero((dist < 0).any(axis=1) | (dist.max(axis=1) != 3))
-    if wrong.size:
-        raise _wrong_diameter(int(wrong[0]), dist[wrong[0]])
-    if varies is not None:
-        raise varies
-    arr = IntersectionArray(nums["b_0"], nums["b_1"], nums["b_2"],
-                            nums["c_1"], nums["c_2"], nums["c_3"])
-    # distance-3 (plus equality) must be an equivalence relation
-    rel = dist == 3
-    np.fill_diagonal(rel, True)
-    np.copyto(layer, rel)
-    _matmul(layer, layer, counts)
-    if not np.array_equal(counts > 0, rel):
-        raise RdsError("distance-3 relation is not an equivalence")
-    # each class once, listed by its least member
-    reps = np.unique(rel.argmax(axis=1))
-    return arr, [tuple(np.flatnonzero(row).tolist()) for row in rel[reps]]
-
-
-def _drg3_one_base(adj: np.ndarray, G: FiniteGroup):
-    """certify_drg3 for a Cayley graph on G, from the base e = 0."""
-    t = G.table
-    for g in G.gens:
+    t = group.table
+    for g in group.gens:
         right = t[:, g].astype(np.intp)  # x -> x.g
         bad = np.take(adj[right], right, axis=1) != adj
         if bad.any():
@@ -423,7 +340,7 @@ def _drg3_one_base(adj: np.ndarray, G: FiniteGroup):
                 f"adj[{int(right[x])}, {int(right[y])}] = "
                 f"{bool(adj[right[x], right[y]])}", generator=g, pair=(x, y))
     # adj[x, y] = adj[e, y.x^-1]: symmetric and loop-free iff row e is
-    if adj[0, 0] or not np.array_equal(adj[0, G.inv], adj[0]):
+    if adj[0, 0] or not np.array_equal(adj[0, group.inv], adj[0]):
         raise RdsError("adjacency must be symmetric and loop-free")
     dist = np.full(adj.shape[0], -1, dtype=np.int8)
     dist[0] = 0
@@ -431,8 +348,10 @@ def _drg3_one_base(adj: np.ndarray, G: FiniteGroup):
     for d in range(4):
         near.append(adj[dist == d].sum(axis=0))
         dist[(near[d] > 0) & (dist < 0)] = d + 1
+    # -1 is beyond 4 or unreachable
     if (dist < 0).any() or dist.max() != 3:
-        raise _wrong_diameter(0, dist)
+        ecc = "over 4" if (dist < 0).any() else int(dist.max())
+        raise WrongDiameter(f"base 0 has eccentricity {ecc}, expected 3")
     nums = {}
     for i in (1, 2, 3):
         # c_i on layer i, b_(i-1) on layer i - 1
@@ -455,14 +374,7 @@ def _drg3_one_base(adj: np.ndarray, G: FiniteGroup):
     C = np.flatnonzero(in_c)
     if not in_c[t[np.ix_(C, C)]].all():
         raise RdsError("distance-3 relation is not an equivalence")
-    return arr, dev(G, C)
-
-
-def _wrong_diameter(u: int, row: np.ndarray) -> WrongDiameter:
-    """The error for base u, whose distances are row (-1 is beyond 4 or
-    unreachable)."""
-    ecc = "over 4" if (row < 0).any() else int(row.max())
-    return WrongDiameter(f"base {u} has eccentricity {ecc}, expected 3")
+    return arr, dev(group, C)
 
 
 def cayley_adjacency(G: FiniteGroup, S) -> np.ndarray:
@@ -493,14 +405,31 @@ def symplectic_standard(F: Field, r: int):
     return B
 
 
-def _check_alternating_nondegenerate(F: Field, B):
-    d = len(B)
-    for i in range(d):
-        if B[i][i] != 0:
-            raise RdsError("form is not alternating")
-        for j in range(d):
-            if B[i][j] != F.neg(B[j][i]):
-                raise RdsError("form is not alternating")
+def _symplectic_form(F: Field, r: int, B):
+    """B as 2r lists of 2r ints, checked to be an alternating
+    nondegenerate form on F^(2r); the standard form when B is None.
+    Every check runs before anything of size q^(2r+1) is allocated."""
+    if not isinstance(r, (int, np.integer)) or r < 0:
+        raise RdsError(f"r = {r!r} is not a non-negative int")
+    d = 2 * r
+    if B is None:
+        return symplectic_standard(F, r)
+    try:
+        B = [list(row) for row in B]
+    except TypeError:
+        raise RdsError(f"form must be a {d} x {d} matrix") from None
+    if len(B) != d or any(len(row) != d for row in B):
+        raise RdsError(f"form must be {d} x {d} for r = {r}, but its row "
+                       f"lengths are {[len(row) for row in B]}")
+    for i, j in itertools.product(range(d), repeat=2):
+        x = B[i][j]
+        if not isinstance(x, (int, np.integer)) or not 0 <= x < F.q:
+            raise RdsError(f"form entry {x!r} at ({i}, {j}) is not an "
+                           f"element 0..{F.q - 1} of GF({F.q})")
+        B[i][j] = int(x)
+    for i, j in itertools.product(range(d), repeat=2):
+        if B[i][j] != F.neg(B[j][i]) or (i == j and B[i][i]):
+            raise RdsError(f"form is not alternating at ({i}, {j})")
     # nondegeneracy: row reduce over F
     M = [row[:] for row in B]
     rank = 0
@@ -519,28 +448,38 @@ def _check_alternating_nondegenerate(F: Field, B):
         rank += 1
     if rank != d:
         raise RdsError("form is degenerate")
+    return B
 
 
 def thas_somma(F: Field, r: int, B=None):
     """Cover graph on F^(2r+1): (a, alpha) ~ (b, beta) iff
-    B(a, b) = alpha - beta and a != b.  Returns (adjacency, vertices)."""
-    if B is None:
-        B = symplectic_standard(F, r)
-    _check_alternating_nondegenerate(F, B)
-    d = 2 * r
-    vecs = list(itertools.product(F.elements(), repeat=d))
-    verts = list(itertools.product(vecs, F.elements()))
-    # coords[i] holds coordinate i of every vector, in the order of vecs
-    coords = np.indices((F.q,) * d).reshape(d, len(vecs))
-    form = np.zeros((len(vecs),) * 2, dtype=np.int64)  # B(a, b)
-    for i, j in zip(*np.nonzero(B)):
-        form = F.add(form, F.mul(F.mul(coords[i], B[i][j])[:, None],
-                                 coords[j]))
-    diff = F.sub(*np.ix_(F.elements(), F.elements()))  # alpha - beta
-    # axes (a, alpha, b, beta), flattened to the vertex order of verts
-    adj = form[:, None, :, None] == diff[None, :, None, :]
-    adj &= ~np.eye(len(vecs), dtype=bool)[:, None, :, None]
-    return adj.reshape(len(verts), len(verts)), verts
+    B(a, b) = alpha - beta and a != b, for an alternating nondegenerate
+    form B (the standard one by default).  Returns (adjacency, G_B).
+
+    G_B is F^(2r+1) under (a, alpha)(c, gamma) = (a + c, alpha + gamma
+    + B(a, c)), a group for any bilinear B, and G_B.elements, the pairs
+    ((a_1, ..., a_2r), alpha) in grid order, are the vertices.  The
+    graph is Cay(G_B, {(b, 0) : b != 0}): (b, 0)(a, alpha) is
+    (a + b, alpha + B(b, a)), and B(a, a + b) = B(a, b) = -B(b, a)
+    since B is alternating.
+    """
+    B = _symplectic_form(F, r, B)
+    d, q = 2 * r, F.q
+    _check_budget(q ** (d + 1))
+    vecs = itertools.product(F.elements(), repeat=d)
+    els = [(a, alpha) for a in vecs for alpha in F.elements()]
+    terms = [(i, j, b) for i, row in enumerate(B)
+             for j, b in enumerate(row) if b]
+
+    def mul(g, h):
+        z = F.add(g[d], h[d])
+        for i, j, b in terms:  # + B(a, c)
+            z = F.add(z, F.mul(F.mul(g[i], b), h[j]))
+        return [F.add(x, y) for x, y in zip(g[:d], h[:d])] + [z]
+
+    G = FiniteGroup.from_elements(els, mul, name=f"G_B({q},{r})")
+    # (b, 0) has index q * b for b = 0..q^(2r) - 1 in grid order
+    return cayley_adjacency(G, np.arange(q, G.order, q)), G
 
 
 def dev(G: FiniteGroup, X):

@@ -195,8 +195,8 @@ def test_criterion_09_graph_layer(heis_all):
     assert len(classes) == 9
     cosets = set(dev(hs.group, hs.center.members))  # the center's cosets
     assert {tuple(sorted(c)) for c in classes} == cosets
-    adj, _ = thas_somma(field_make(3), 1)
-    arr2, classes2 = certify_drg3(adj)
+    adj, T = thas_somma(field_make(3), 1)
+    arr2, classes2 = certify_drg3(adj, T)
     assert arr2.as_tuple() == arr.as_tuple()
     print("PASS criterion 9: Cay(G, X_0^#) has array {8,6,1;1,3,8} with 9 "
           "antipodal classes = Z-cosets; Thas-Somma array identical")

@@ -1,7 +1,8 @@
-"""Every function and method of the library has a caller that is not a
-test: code in src/rdslink outside its own definition, the benchmark in
-perfbench/, or the public names in rdslink.__all__.  A helper only the
-tests call is dead weight the tests keep alive.  Arithmetic on the
+"""Every function and method of the library, and every name a module
+assigns at its top level, has a reader that is not a test: code in
+src/rdslink outside its own definition, the benchmark in perfbench/, or
+the public names in rdslink.__all__.  A helper only the tests call, or
+a constant that outlived its function, is dead weight.  Arithmetic on the
 entries of a uint16 Cayley table must widen them first."""
 
 import ast
@@ -32,6 +33,22 @@ def _references(tree):
     return out
 
 
+def _definitions(tree):
+    """(name, node) for every function and method of a module, and for
+    every name its top-level statements assign, node being the
+    statement."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+            for target in targets:
+                for leaf in ast.walk(target):
+                    if isinstance(leaf, ast.Name):
+                        yield leaf.id, node
+
+
 def _unreferenced():
     trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
     in_sources = Counter()
@@ -42,13 +59,11 @@ def _unreferenced():
         elsewhere |= set(_references(ast.parse(path.read_text())))
     out = []
     for module, tree in trees.items():
-        for node in ast.walk(tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            name = node.name
+        for name, node in _definitions(tree):
             if name.startswith("__") and name.endswith("__"):
-                continue  # called by the language
-            # a call from inside its own body is no caller
+                continue  # read by the language
+            # a call from inside its own body, or the assignment's own
+            # target, is no reader
             outside = in_sources[name] - _references(node)[name]
             if outside <= 0 and name not in elsewhere:
                 out.append(f"{module}:{node.lineno} {name}")

@@ -1,6 +1,8 @@
 """The graph layer against networkx, an independent implementation of
-distance-regularity, the one-base path for Cayley graphs against the
-every-base path, and thas_somma against its definition."""
+distance-regularity: every graph is certified as a Cayley graph on its
+group from the one base e, and networkx's distances between every pair
+of vertices check what that base gives.  thas_somma against its
+definition."""
 
 import itertools
 
@@ -36,21 +38,55 @@ def _heis_graph(hs):
     return cayley_adjacency(*_heis_cayley(hs))
 
 
-GRAPHS = {  # name -> adjacency, given pytest's fixture lookup
-    "heis3": lambda fixture: _heis_graph(fixture("heis3")),
-    "heis5": lambda fixture: _heis_graph(fixture("heis5")),
-    "thas3": lambda _: thas_somma(field_make(3), 1)[0],
-    "thas5": lambda _: thas_somma(field_make(5), 1)[0],
-    "thas3r2": lambda _: thas_somma(field_make(3), 2)[0],
-    "cube3": lambda _: _cube3(),
-    "c6": lambda _: _cycle(6),
+def _every_base(adj):
+    """The intersection array, each number counted at every (base,
+    vertex) pair, and the classes {u} + {w : d(u, w) = 3} by least
+    member, from networkx's distances between every pair of vertices;
+    None unless adj is a diameter-3 distance-regular graph whose
+    distance-3 relation is an equivalence."""
+    if adj.diagonal().any() or (adj != adj.T).any():
+        return None
+    v = len(adj)
+    dist = np.full((v, v), -1)
+    g = nx.from_numpy_array(adj.astype(int))
+    for u, row in nx.all_pairs_shortest_path_length(g):
+        dist[u, list(row)] = list(row.values())
+    if (dist < 0).any() or dist.max() != 3:
+        return None
+    # near[d][u, w] = neighbours of w at distance d from u
+    near = [(dist == d).astype(float) @ adj for d in range(4)]
+    counts = [near[i + 1][dist == i] for i in range(3)] + \
+        [near[i - 1][dist == i] for i in (1, 2, 3)]  # b_0..b_2, c_1..c_3
+    rel = (dist == 0) | (dist == 3)
+    if any((c != c[0]).any() for c in counts) or \
+            not np.array_equal(rel.astype(float) @ rel > 0, rel):
+        return None
+    return (tuple(int(c[0]) for c in counts),
+            [tuple(np.flatnonzero(rel[u]).tolist())
+             for u in np.unique(rel.argmax(axis=1))])
+
+
+GRAPHS = {  # name -> (adjacency, group), given pytest's fixture lookup
+    "heis3": lambda fixture: (_heis_graph(fixture("heis3")),
+                              fixture("heis3").group),
+    "heis5": lambda fixture: (_heis_graph(fixture("heis5")),
+                              fixture("heis5").group),
+    "thas3": lambda _: thas_somma(field_make(3), 1),
+    "thas5": lambda _: thas_somma(field_make(5), 1),
+    "thas3r2": lambda _: thas_somma(field_make(3), 2),
+    # even q, where the form's -1 is 1
+    "thas2r2": lambda _: thas_somma(field_make(2), 2),
+    "thas4": lambda _: thas_somma(field_make(2, 2), 1),
+    "thas8": lambda _: thas_somma(field_make(2, 3), 1),
+    "cube3": lambda _: (_cube3(), elementary_abelian(2, 3)),
+    "c6": lambda _: (_cycle(6), cyclic(6)),
 }
 
 
 @pytest.mark.parametrize("name", list(GRAPHS))
 def test_certify_drg3_against_networkx(name, request):
-    adj = GRAPHS[name](request.getfixturevalue)
-    arr, classes = certify_drg3(adj)
+    adj, G = GRAPHS[name](request.getfixturevalue)
+    arr, classes = certify_drg3(adj, G)
     g = nx.from_numpy_array(adj.astype(int))
     b, c = nx.intersection_array(g)
     assert arr.as_tuple() == tuple(b) + tuple(c)
@@ -59,20 +95,6 @@ def test_certify_drg3_against_networkx(name, request):
     expect = {tuple(sorted({u} | {w for w, d in dist[u].items() if d == 3}))
               for u in g}
     assert sorted(classes) == sorted(expect)
-
-
-def test_every_edge_flip_is_rejected(heis3):
-    adj = _heis_graph(heis3)
-    v = adj.shape[0]
-    for u, w in itertools.combinations(range(v), 2):
-        flipped = adj.copy()
-        flipped[u, w] = flipped[w, u] = not adj[u, w]
-        with pytest.raises(NotDistanceRegular) as ei:
-            certify_drg3(flipped)
-        base, vertex = ei.value.witness
-        assert 0 <= base < v and 0 <= vertex < v
-        assert not nx.is_distance_regular(
-            nx.from_numpy_array(flipped.astype(int)))
 
 
 CAYLEY = {  # name -> (group, connection set), given pytest's fixtures
@@ -89,10 +111,9 @@ CAYLEY = {  # name -> (group, connection set), given pytest's fixtures
 def test_one_base_agrees_with_every_base(name, request):
     G, S = CAYLEY[name](request.getfixturevalue)
     adj = cayley_adjacency(G, S)
-    every = certify_drg3(adj)
+    arr, classes = cayley_drg_check(G, S)
     # the same array, and the same classes in the same order
-    assert certify_drg3(adj, G) == every
-    assert cayley_drg_check(G, S) == every
+    assert (arr.as_tuple(), classes) == _every_base(adj)
 
 
 def _cayley_arcs(G, S):
@@ -117,11 +138,10 @@ def _cayley_arcs(G, S):
 def test_one_base_fails_as_every_base_does(make, S, error):
     G = make()
     adj = _cayley_arcs(G, S)
-    with pytest.raises(RdsError) as every:
-        certify_drg3(adj)
     with pytest.raises(RdsError) as one:
         certify_drg3(adj, G)
-    assert type(one.value) is type(every.value) is error
+    assert type(one.value) is error
+    assert _every_base(adj) is None
     if error is NotDistanceRegular:
         base, vertex = one.value.witness
         assert base == 0 and 0 <= vertex < G.order
@@ -177,7 +197,8 @@ def test_one_base_needs_a_group_of_the_graph_order(heis3):
 
 def test_thas_somma_matches_definition():
     # GF(3), r = 1: B(a, b) = a0 b1 - a1 b0 for the standard form
-    adj, verts = thas_somma(field_make(3), 1)
+    adj, G = thas_somma(field_make(3), 1)
+    verts = G.elements
     assert verts == [((a0, a1), al) for a0 in range(3) for a1 in range(3)
                      for al in range(3)]
     for (i, ((a0, a1), al)), (j, ((b0, b1), be)) in itertools.product(
@@ -186,6 +207,23 @@ def test_thas_somma_matches_definition():
             (a0 * b1 - a1 * b0 - (al - be)) % 3 == 0
         assert adj[i, j] == want, (verts[i], verts[j])
     # r = 0: F^1 with no vector pair a != b, so no edges
-    adj, verts = thas_somma(field_make(3), 0)
-    assert verts == [((), 0), ((), 1), ((), 2)]
+    adj, G = thas_somma(field_make(3), 0)
+    assert G.elements == [((), 0), ((), 1), ((), 2)]
     assert not adj.any()
+
+
+def test_thas_somma_matches_a_nonstandard_form():
+    # GF(5), r = 2: alternating, and its Pfaffian
+    # b01 b23 - b02 b13 + b03 b12 = 2 - 2 + 12 is nonzero mod 5
+    B = [[0, 1, 2, 3], [4, 0, 4, 1], [3, 1, 0, 2], [2, 4, 3, 0]]
+    adj, G = thas_somma(field_make(5), 2, B)
+    verts = np.array([a + (alpha,) for a, alpha in G.elements])
+    assert np.array_equal(verts, np.indices((5,) * 5).reshape(5, -1).T)
+    a, alpha = verts[:, :4], verts[:, 4]
+    index = np.arange(G.order) // 5  # the index of a, in grid order
+    want = ((a @ np.array(B) @ a.T - alpha[:, None] + alpha) % 5 == 0) & \
+        (index[:, None] != index)
+    assert np.array_equal(adj, want)
+    # every such form is equivalent to the standard one
+    arr, _ = certify_drg3(adj, G)
+    assert arr.as_tuple() == (624, 500, 1, 1, 125, 624)

@@ -4,7 +4,8 @@ import pytest
 from rdslink.ff import field_make
 from rdslink.groupring import GroupRingElement, GroupRingError
 from rdslink.groups import (Subgroup, center, central_product, cyclic,
-                            direct_product, extraspecial_mp3, heisenberg)
+                            direct_product, elementary_abelian,
+                            extraspecial_mp3, heisenberg)
 from rdslink.rds import (EquationFails, IntersectionArray, LambdaNotPositive,
                          RdsError, WrongDiameter, cayley_adjacency,
                          certify_drg3, certify_rds, dev, is_icommuting,
@@ -164,22 +165,26 @@ def _hypercube(d):
 
 
 def test_certify_drg3_hypercube():
-    arr, classes = certify_drg3(_hypercube(3))
+    G = elementary_abelian(2, 3)
+    assert np.array_equal(_hypercube(3), cayley_adjacency(G, (1, 2, 4)))
+    arr, classes = certify_drg3(_hypercube(3), G)
     assert arr.as_tuple() == (3, 2, 1, 1, 2, 3)
     assert len(classes) == 4
     assert all(len(c) == 2 for c in classes)  # antipodal pairs
 
 
 def test_certify_drg3_wrong_diameter():
-    with pytest.raises(WrongDiameter):
-        certify_drg3(_hypercube(4))  # diameter 4
-    # C6 cycle: diameter 3 but distance-3 classes are fine; C8 diameter 4
+    G = elementary_abelian(2, 4)
+    assert np.array_equal(_hypercube(4), cayley_adjacency(G, (1, 2, 4, 8)))
+    with pytest.raises(WrongDiameter, match="eccentricity 4"):
+        certify_drg3(_hypercube(4), G)  # diameter 4
+    # the octagon C8 has diameter 4 too
     v = 8
     adj = np.zeros((v, v), dtype=bool)
     for u in range(v):
         adj[u, (u + 1) % v] = adj[(u + 1) % v, u] = True
-    with pytest.raises(WrongDiameter):
-        certify_drg3(adj)
+    with pytest.raises(WrongDiameter, match="eccentricity 4"):
+        certify_drg3(adj, cyclic(v))
 
 
 def test_cayley_adjacency_validation():
@@ -208,11 +213,31 @@ def test_symplectic_form_checks():
     F = field_make(3)
     B = symplectic_standard(F, 1)
     assert B == [[0, 1], [2, 0]]
-    adj, verts = thas_somma(F, 1)
-    assert adj.shape == (27, 27)
+    adj, G = thas_somma(F, 1)
+    assert adj.shape == (27, 27) and G.order == 27
     degenerate = [[0, 0], [0, 0]]
-    with pytest.raises(RdsError):
+    with pytest.raises(RdsError, match="degenerate"):
         thas_somma(F, 1, degenerate)
+
+
+@pytest.mark.parametrize("r, B, message", [
+    (2, [[0, 1], [4, 0]], r"must be 4 x 4 for r = 2.*\[2, 2\]"),
+    (1, [[0, 1, 0, 0], [4, 0, 0, 0], [0, 0, 0, 1], [0, 0, 4, 0]],
+     r"must be 2 x 2 for r = 1.*\[4, 4, 4, 4\]"),
+    (1, [[0, 7], [4, 0]], r"entry 7 at \(0, 1\)"),
+    (1, [[0, 1], [-7, 0]], r"entry -7 at \(1, 0\)"),
+    (1, [[0, 1.5], [4, 0]], r"entry 1.5 at \(0, 1\)"),
+    (1, [[0, 1], [4]], r"must be 2 x 2 for r = 1.*\[2, 1\]"),
+    (1, 5, "must be a 2 x 2 matrix"),
+    (-1, None, "r = -1 is not a non-negative int"),
+    (1, [[0, 1], [1, 0]], r"not alternating at \(0, 1\)"),
+    (1, [[1, 1], [4, 0]], r"not alternating at \(0, 0\)")],
+    ids=["2x2-at-r2", "4x4-at-r1", "entry-7", "entry-minus-7",
+         "entry-1.5", "ragged", "not-a-matrix", "r-minus-1",
+         "not-antisymmetric", "nonzero-diagonal"])
+def test_thas_somma_rejects_malformed_input(r, B, message):
+    with pytest.raises(RdsError, match=message):
+        thas_somma(field_make(5), r, B)
 
 
 def test_heisenberg_rds_manual():
