@@ -10,7 +10,6 @@ the run verified.
 from __future__ import annotations
 
 import argparse
-import bisect
 import json
 import re
 import sys
@@ -201,7 +200,7 @@ _POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
 
 class _Reread(Exception):
     """An array failed to read as integers after part of its text was
-    dropped."""
+    dropped, or a placeholder was not read exactly once."""
 
 
 def _int_piece(text: str):
@@ -282,9 +281,10 @@ def _int_array(fh, text: str, start: int, path):
 
 def _split(fh, path):
     """The text of fh, read _CHUNK characters at a time, with each array
-    of nonnegative integers outside strings cut to "[]"; and a dict from
-    each cut's position in that text to its array (see _int_array)."""
-    skeleton, arrays, size = [], {}, 0
+    of nonnegative integers outside strings cut to a number literal of
+    its own, its index zero-padded after "-0E-"; and a dict from each
+    such placeholder to its array (see _int_array)."""
+    skeleton, arrays = [], {}
     text, pos, mark = fh.read(_CHUNK), 0, 0  # text[mark:pos] is unkept
     in_string = False
     while True:
@@ -297,7 +297,6 @@ def _split(fh, path):
             if not chunk:
                 break
             skeleton.append(text[mark:keep])
-            size += keep - mark
             text, pos, mark = text[keep:] + chunk, 0, 0
         elif m.group() == '"':
             in_string = not in_string
@@ -309,54 +308,48 @@ def _split(fh, path):
         else:
             opening = m.start()
             skeleton.append(text[mark:opening])
-            size += opening - mark
             array, text, end = _int_array(fh, text, opening + 1, path)
             if array is None:
                 mark, pos = opening, opening + 1
             else:
-                arrays[size] = array
-                skeleton.append("[]")
-                size += 2
+                key = f"-0E-{len(arrays):020d}"
+                arrays[key] = array
+                skeleton.append(key)
                 mark = pos = end
     skeleton.append(text[mark:])
     return "".join(skeleton), arrays
 
 
 def _decode(skeleton: str, arrays: dict):
-    """The value of skeleton, with the array stored at each cut in place
-    of its "[]".  Objects, and arrays with a cut inside, are walked by
-    json.decoder's JSONObject and JSONArray, so every cut is found;
-    every other value goes to json's own scanner."""
-    decoder = json.JSONDecoder()
-    json_scan = decoder.scan_once
-    cuts = list(arrays)  # in increasing order
-    memo = {}
+    """The value of skeleton, with the array keyed by each placeholder
+    literal in its place.  json calls parse_float with the text of every
+    number that has an exponent, so each placeholder reaches number;
+    _Reread unless each was read exactly once, as where the file holds
+    a placeholder's text itself or a literal runs into one."""
+    taken = set()
 
-    def scan_once(s, idx):
-        if idx in arrays:
-            return arrays.pop(idx), idx + 2
-        if s.startswith("{", idx):
-            return json.decoder.JSONObject(
-                (s, idx + 1), decoder.strict, scan_once, decoder.object_hook,
-                decoder.object_pairs_hook, memo)
-        value, end = json_scan(s, idx)
-        if s.startswith("[", idx):
-            inner = bisect.bisect(cuts, idx)
-            if inner < len(cuts) and cuts[inner] < end:
-                return json.decoder.JSONArray((s, idx + 1), scan_once)
-        return value, end
+    def number(text):
+        if text not in arrays:
+            return float(text)
+        if text in taken:
+            raise _Reread
+        taken.add(text)
+        return arrays[text]
 
-    decoder.scan_once = scan_once
-    return decoder.decode(skeleton)
+    value = json.loads(skeleton, parse_float=number)
+    if len(taken) != len(arrays):
+        raise _Reread
+    return value
 
 
 def _read_json(path):
     """The value json.load gives for the file at path, except that each
     array of nonnegative integers is one numpy array, in the least
     unsigned dtype that holds it; the file's text is never held whole.
-    Where the text is not JSON, or an array fails once part of its text
-    was dropped, the file is read again with json.load, so the value or
-    the error is json.load's own."""
+    Where the text is not JSON, an array fails once part of its text
+    was dropped, or a placeholder is not read exactly once, the file is
+    read again with json.load, so the value or the error is json.load's
+    own."""
     try:
         with open(path) as fh:
             return _decode(*_split(fh, path))

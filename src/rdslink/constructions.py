@@ -42,11 +42,6 @@ class HeisenbergSystem:
     sets: dict  # field element i -> X_i = Y_i + {e}
     certificate: LinkedCertificate
 
-    def to_json(self):
-        return {"q": self.field.q, "eps": self.eps, "delta": self.delta,
-                "sets": {str(i): list(x) for i, x in self.sets.items()},
-                "certificate": self.certificate.to_json()}
-
 
 def _matrix_group_generator(F: Field, eps: int):
     """The first (a, b) in product order whose matrix ((a, b), (eps*b, a))
@@ -192,13 +187,6 @@ class ExtraspecialSystem:
     Y_certs: list  # Y_i = X_i + Y, forbidden Z
     Z_certs: list  # Z_i = X_i + Z, forbidden Y
     pds_certs: list  # S_i = X_i + Y^# + Z^#
-
-    def to_json(self):
-        return {"p": self.p, "xi": self.xi,
-                "X_sets": [list(x) for x in self.X_sets],
-                "Y_certs": [c.to_json() for c in self.Y_certs],
-                "Z_certs": [c.to_json() for c in self.Z_certs],
-                "pds": [c.to_json() for c in self.pds_certs]}
 
 
 def _least_primitive_root_mod_p2(p: int) -> int:
@@ -358,10 +346,6 @@ class DpsSystem:
     amorphic_sets: dict
     families: list  # Y_f index sets, f in S^#
     certificate: LinkedCertificate
-
-    def to_json(self):
-        return {"n": self.n_field.q, "t": self.t, "s": len(self.endos),
-                "certificate": self.certificate.to_json()}
 
 
 def dps_system(F: Field, t: int, s: int | None = None,

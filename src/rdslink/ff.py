@@ -165,10 +165,6 @@ class Field:
 
     # int <-> coefficient vector
 
-    def coeffs(self, a: int):
-        """Base-p digits of a, low degree first, trimmed."""
-        return _poly_trim(self._digits[a].tolist())
-
     def from_coeffs(self, c) -> int:
         return sum(d * self.p ** k for k, d in enumerate(c))
 

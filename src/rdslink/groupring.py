@@ -143,9 +143,6 @@ class GroupRingElement:
     def __getitem__(self, g: int) -> int:
         return int(self.vec[g])
 
-    def to_json(self):
-        return {"group": self.group.name, "coeffs": self.vec.tolist()}
-
     def __repr__(self):
         return f"GroupRingElement({self.group.name}, {self.vec.tolist()})"
 

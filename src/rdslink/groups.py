@@ -208,7 +208,8 @@ def _integer_table(table) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not arr.size:
         raise GroupError("multiplication table must be square")
     _check_budget(len(arr))
-    if (arr.dtype.kind == "i" and arr.min() < 0) or arr.max() >= len(arr):
+    # an int too large for int64 leaves an object array of Python ints
+    if (arr.dtype.kind != "u" and arr.min() < 0) or arr.max() >= len(arr):
         raise GroupError("table entries out of range")
     # C order: GroupRingElement.__mul__ gathers from the raveled table
     return np.ascontiguousarray(arr, dtype=np.uint16)
@@ -377,13 +378,9 @@ class Automorphism:
         return tuple(sorted(int(self.perm[g]) for g in S))
 
     def order(self) -> int:
-        n = 1
-        cur = self.perm
-        ident = np.arange(self.group.order)
-        while not np.array_equal(cur, ident):
-            cur = self.perm[cur]
-            n += 1
-        return n
+        """The lcm of the lengths of perm's cycles."""
+        sizes = np.bincount(_orbit_least(self.perm[None]))
+        return math.lcm(*np.unique(sizes[sizes > 0]).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -523,43 +520,47 @@ def is_transversal(G: FiniteGroup, H: Subgroup, X):
 def automorphism_from_images(G: FiniteGroup, images: dict) -> Automorphism:
     """Extend generator images to an automorphism; the generators must
     generate G and the images must respect every relation (verified on
-    G.gens by the Automorphism audit)."""
-    gens, targets = list(images), list(images.values())
-    perm = np.full(G.order, -1, dtype=np.int64)
-    perm[0] = 0
-    t, frontier = G.table, np.zeros(1, dtype=np.int64)
-    while frontier.size:  # phi(g s) = phi(g) phi(s), breadth first
-        h, first = np.unique(t[frontier[:, None], gens], return_index=True)
-        image = t[perm[frontier][:, None], targets].ravel()[first]
-        new = perm[h] < 0
-        frontier = h[new]
-        perm[frontier] = image[new]
-    if (perm < 0).any():
+    G.gens by the Automorphism audit).  Along the tree of a walk over
+    y = p g_k (_walk), phi(y) = phi(p) phi(g_k), each parent first."""
+    gens, targets = list(images), np.asarray(list(images.values()))
+    reached, tree = np.arange(G.order) == 0, []
+    _walk(G.table[:, gens].T, reached, tree)
+    if not reached.all():
         raise GroupError("given elements do not generate G")
+    perm = np.zeros(G.order, dtype=np.int64)
+    for y, k, p in tree:
+        perm[y] = G.table[perm[p], targets[k]]
     return Automorphism(G, perm)
+
+
+def _orbit_least(perms: np.ndarray) -> np.ndarray:
+    """The least point of each point's orbit under the group the rows of
+    perms generate.  Each label m[x] is a point of x's orbit, at most x:
+    for each row a, m[x] = min(m[x], m[a^(2^i) x]) for i = 0, 1, ...
+    until no label moves, which leaves m constant on a's cycles; then
+    m[x] = m[m[x]]; all until no label moves.  m is then constant on
+    every orbit and each orbit's least point is its own label."""
+    m = np.arange(perms.shape[1])
+    while True:
+        before = m
+        for step in perms:
+            low = np.minimum(m, m[step])
+            while not np.array_equal(low, m):
+                m, step = low, step[step]
+                low = np.minimum(m, m[step])
+        m = m[m]
+        if np.array_equal(m, before):
+            return m
 
 
 def orbits(G: FiniteGroup, autos):
     """Orbit partition of <autos> acting on G, each orbit sorted; orbits
     ordered by least element."""
-    parent = list(range(G.order))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a in autos:
-        for g in range(G.order):
-            rg, ri = find(g), find(int(a.perm[g]))
-            if rg != ri:
-                parent[max(rg, ri)] = min(rg, ri)
-    buckets = {}
-    for g in range(G.order):
-        buckets.setdefault(find(g), []).append(g)
-    return sorted((tuple(sorted(v)) for v in buckets.values()),
-                  key=lambda o: o[0])
+    least = _orbit_least(np.array([a.perm for a in autos],
+                                  dtype=np.int64).reshape(-1, G.order))
+    points = np.argsort(least, kind="stable")  # by orbit, then by point
+    cuts = np.flatnonzero(np.diff(least[points])) + 1
+    return [tuple(o.tolist()) for o in np.split(points, cuts)]
 
 
 # ---------------------------------------------------------------------------

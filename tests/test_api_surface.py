@@ -3,7 +3,8 @@ assigns at its top level, has a reader that is not a test: code in
 src/rdslink outside its own definition, the benchmark in perfbench/, or
 the public names in rdslink.__all__.  A helper only the tests call, or
 a constant that outlived its function, is dead weight.  Arithmetic on the
-entries of a uint16 Cayley table must widen them first."""
+entries of a uint16 Cayley table must widen them first.  The library
+uses json through its documented interface alone."""
 
 import ast
 from collections import Counter
@@ -170,3 +171,29 @@ def _unwidened_arithmetic():
 
 def test_table_entries_are_widened_before_arithmetic():
     assert _unwidened_arithmetic() == []
+
+
+JSON_INTERNALS = ("json.decoder", "json.scanner")
+
+
+def _json_internals():
+    """Every attribute or import in src/rdslink that names json.decoder
+    or json.scanner, the modules behind json's documented interface."""
+    out = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                names = [ast.unparse(node)]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            out += [f"{path.name}:{node.lineno} {name}" for name in names
+                    if name.startswith(JSON_INTERNALS)]
+    return out
+
+
+def test_json_is_used_through_its_documented_interface():
+    assert _json_internals() == []

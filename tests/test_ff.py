@@ -60,10 +60,16 @@ def test_multiplicative_group_cyclic():
         assert F.q - 1 in orders  # some element generates
 
 
+def _digits(F, a):
+    """The base-p digits of a, low degree first."""
+    return [a // F.p ** k % F.p for k in range(F.r)]
+
+
 def test_coeffs_roundtrip():
     F = field_make(3, 2)
     for a in F.elements():
-        assert F.from_coeffs(F.coeffs(a)) == a
+        assert F._digits[a].tolist() == _digits(F, a)
+        assert F.from_coeffs(_digits(F, a)) == a
 
 
 def test_squares_and_nonsquares():
@@ -105,13 +111,14 @@ def _oracle(F):
     mul, power and the multiplicative order."""
     from sympy import factorint
     from sympy.polys.domains import ZZ
-    from sympy.polys.galoistools import gf_add, gf_mul, gf_pow_mod, gf_rem
+    from sympy.polys.galoistools import (gf_add, gf_mul, gf_pow_mod, gf_rem,
+                                         gf_strip)
 
     p = F.p
     mod = list(reversed(F.modulus))
 
     def poly(a):
-        return [ZZ(d) for d in reversed(F.coeffs(a))]
+        return gf_strip([ZZ(d) for d in reversed(_digits(F, a))])
 
     def num(f):
         return F.from_coeffs([int(d) for d in reversed(f)])

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rdslink import constructions
 from rdslink.constructions import q8_system_2r, theorem_1_2_rds
-from rdslink.ff import field_make
+from rdslink.ff import field_make, least_nonsquare
 from rdslink.groups import (TABLE_BYTES, Automorphism, FiniteGroup,
                             GroupError, Subgroup, _check_budget,
                             _check_homomorphism, automorphism_from_images,
@@ -79,6 +80,7 @@ def test_audit_rejects_bool_entry(table, where):
 
 @pytest.mark.parametrize("table", [
     [[0, 1], [1, 2 ** 32]], [[0, 1], [1, -2 ** 32]], [[0, 1], [1, 2 ** 70]],
+    [[0, 1], [1, -2 ** 70]],  # an object array of Python ints
     np.array([[0, 1], [1, 2 ** 32]], dtype=np.int64),
     np.array([[0, 1], [1, 2 ** 32]], dtype=np.uint64),
     [[0, 1], [1, 2 ** 16]], [[0, 1], [1, 2 ** 16 + 1]],
@@ -576,6 +578,89 @@ def test_automorphism_from_images():
         M.index[(2 * a % 9, b)] for a, b in M.elements]
     with pytest.raises(GroupError):
         automorphism_from_images(M, {x: y, y: x})  # orders 9 and 3
+
+
+def _closure_orbits(v, perms):
+    """Orbits by brute force: each point's closure under the maps, in
+    order of least point."""
+    seen, out = set(), []
+    for x in range(v):
+        if x in seen:
+            continue
+        orbit, todo = {x}, [x]
+        while todo:
+            y = todo.pop()
+            for a in perms:
+                z = int(a[y])
+                if z not in orbit:
+                    orbit.add(z)
+                    todo.append(z)
+        seen |= orbit
+        out.append(tuple(sorted(orbit)))
+    return out
+
+
+def _composed_order(perm):
+    """The least n with perm^n the identity, by composing."""
+    n, power = 1, perm
+    while not np.array_equal(power, np.arange(perm.size)):
+        power, n = perm[power], n + 1
+    return n
+
+
+def _heisenberg_multipliers():
+    F = field_make(5)
+    eps = least_nonsquare(F)
+    G = heisenberg(F, 1)
+    phi = constructions._heisenberg_automorphism(
+        G, F, eps, constructions._matrix_group_generator(F, eps))
+    return G, [phi]
+
+
+def _frobenius_of_m125():
+    es = constructions.extraspecial_rds(5)
+    return es.group, [es.sigma, es.tau]
+
+
+def _units_of(n):
+    G = cyclic(n)
+    return G, [Automorphism(G, np.arange(n) * u % n)
+               for u in range(1, n) if math.gcd(u, n) == 1]
+
+
+@pytest.mark.parametrize("make", [
+    _heisenberg_multipliers, _frobenius_of_m125,
+    functools.partial(_units_of, 1), functools.partial(_units_of, 24),
+    functools.partial(_units_of, 49), functools.partial(_units_of, 60)],
+    ids=["heis5-cyclotomic", "m125-frobenius", "C1-units", "C24-units",
+         "C49-units", "C60-units"])
+def test_orbits_and_orders_match_brute_force(make):
+    G, autos = make()
+    for some in [autos, autos[:1], autos[1:], autos[::-1], autos[1::3]]:
+        assert orbits(G, some) == _closure_orbits(
+            G.order, [a.perm for a in some])
+    assert [a.order() for a in autos] == [
+        _composed_order(a.perm) for a in autos]
+
+
+def test_orbits_match_the_cyclotomic_partitions():
+    G, autos = _heisenberg_multipliers()
+    F = field_make(5)
+    assert autos[0].order() == 24  # q^2 - 1
+    assert constructions.heisenberg_system(F).partition.classes == \
+        _closure_orbits(G.order, [autos[0].perm])
+    G, autos = _frobenius_of_m125()
+    assert [a.order() for a in autos] == [5, 4]
+    assert len(_closure_orbits(G.order, [a.perm for a in autos])) == 15
+
+
+def test_automorphism_from_images_matches_the_unit_multipliers():
+    for n in (1, 2, 9, 24, 49):
+        G = cyclic(n)
+        for u in range(n):
+            if math.gcd(u, n) == 1:
+                phi = automorphism_from_images(G, {1 % n: u % n})
+                assert phi.perm.tolist() == (np.arange(n) * u % n).tolist()
 
 
 def test_is_normal():
