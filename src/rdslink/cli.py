@@ -23,8 +23,7 @@ from .ff import field_make, is_prime
 from .groups import (FiniteGroup, GroupError, Subgroup,
                      check_integer_cells)
 from .linked import associated_group, munu_by_sign, verify_linked
-from .rds import (cayley_adjacency, certify_rds, dev, verify_pds,
-                  verify_rds)
+from .rds import cayley_adjacency, dev, verify_pds, verify_rds
 from .schur import SchurPartition, verify_sring
 
 
@@ -200,7 +199,8 @@ _POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
 
 class _Reread(Exception):
     """An array failed to read as integers after part of its text was
-    dropped, or a placeholder was not read exactly once."""
+    dropped, or the NaN constants of a skeleton and its arrays did not
+    pair up."""
 
 
 def _int_piece(text: str):
@@ -281,10 +281,9 @@ def _int_array(fh, text: str, start: int, path):
 
 def _split(fh, path):
     """The text of fh, read _CHUNK characters at a time, with each array
-    of nonnegative integers outside strings cut to a number literal of
-    its own, its index zero-padded after "-0E-"; and a dict from each
-    such placeholder to its array (see _int_array)."""
-    skeleton, arrays = [], {}
+    of nonnegative integers outside strings cut to the constant NaN; and
+    the list of those arrays, in text order (see _int_array)."""
+    skeleton, arrays = [], []
     text, pos, mark = fh.read(_CHUNK), 0, 0  # text[mark:pos] is unkept
     in_string = False
     while True:
@@ -312,32 +311,28 @@ def _split(fh, path):
             if array is None:
                 mark, pos = opening, opening + 1
             else:
-                key = f"-0E-{len(arrays):020d}"
-                arrays[key] = array
-                skeleton.append(key)
+                arrays.append(array)
+                skeleton.append("NaN")
                 mark = pos = end
     skeleton.append(text[mark:])
     return "".join(skeleton), arrays
 
 
-def _decode(skeleton: str, arrays: dict):
-    """The value of skeleton, with the array keyed by each placeholder
-    literal in its place.  json calls parse_float with the text of every
-    number that has an exponent, so each placeholder reaches number;
-    _Reread unless each was read exactly once, as where the file holds
-    a placeholder's text itself or a literal runs into one."""
-    taken = set()
+def _decode(skeleton: str, arrays: list):
+    """The value of skeleton, with the arrays in text order in place of
+    its NaN constants; _Reread unless there is one NaN for each array,
+    as where the file holds a NaN of its own.  Every other literal is
+    read by json's own scanner."""
+    left = iter(arrays)
 
-    def number(text):
-        if text not in arrays:
-            return float(text)
-        if text in taken:
+    def constant(name):
+        array = next(left, None) if name == "NaN" else float(name)
+        if array is None:
             raise _Reread
-        taken.add(text)
-        return arrays[text]
+        return array
 
-    value = json.loads(skeleton, parse_float=number)
-    if len(taken) != len(arrays):
+    value = json.loads(skeleton, parse_constant=constant)
+    if next(left, None) is not None:
         raise _Reread
     return value
 
@@ -347,7 +342,7 @@ def _read_json(path):
     array of nonnegative integers is one numpy array, in the least
     unsigned dtype that holds it; the file's text is never held whole.
     Where the text is not JSON, an array fails once part of its text
-    was dropped, or a placeholder is not read exactly once, the file is
+    was dropped, or a NaN and an array do not pair up, the file is
     read again with json.load, so the value or the error is json.load's
     own."""
     try:
@@ -460,13 +455,12 @@ def cmd_verify(args):
             docs[path] = _read_json(path)
         return docs[path]
 
-    def forbidden(X) -> Subgroup:
-        """The --forbidden subgroup, or else the one that X.X^(-1)
-        fixes."""
-        if args.forbidden:
-            return Subgroup(G, tuple(
-                _load_sets(args.forbidden, load(args.forbidden))[0]))
-        return certify_rds(G, X).N
+    def forbidden() -> Subgroup | None:
+        """The --forbidden subgroup, or None without one."""
+        if not args.forbidden:
+            return None
+        return Subgroup(G, tuple(
+            _load_sets(args.forbidden, load(args.forbidden))[0]))
 
     try:
         G = _load_group(args.group, load(args.group))
@@ -474,7 +468,7 @@ def cmd_verify(args):
                            "generators": G.gens}
         sets = _load_sets(args.sets, load(args.sets))
         if args.kind == "rds":
-            cert = verify_rds(G, sets[0], forbidden(sets[0]))
+            cert = verify_rds(G, sets[0], forbidden())
             report["certificates"] = [cert.to_json()]
         elif args.kind == "pds":
             cert = verify_pds(G, sets[0])
@@ -488,7 +482,9 @@ def cmd_verify(args):
             report["certificates"] = [{"partition": P.to_json(),
                                        "tensor": sc.tensor.tolist()}]
         elif args.kind == "linked":
-            cert = verify_linked(G, forbidden(sets[0]), sets)
+            # without one, the subgroup the first set's X.X^(-1) fixes
+            N = forbidden() or verify_rds(G, sets[0]).N
+            cert = verify_linked(G, N, sets)
             report["certificates"] = [cert.to_json()]
         report["ok"] = True
     except Exception as exc:

@@ -16,7 +16,7 @@ from .ff import Field, field_make, least_nonsquare, is_prime
 from .groups import (FiniteGroup, Subgroup, Automorphism,
                      automorphism_from_images, center, central_product,
                      elementary_abelian, extraspecial_mp3, heisenberg,
-                     quaternion8, direct_product)
+                     is_int, quaternion8, direct_product)
 from .linked import LinkedCertificate, linked_product, verify_linked
 from .rds import rds_product, verify_pds, verify_rds
 from .schur import SchurPartition, amorphic_latin, cyclotomic
@@ -87,6 +87,8 @@ def heisenberg_system(F: Field, eps: int | None = None) -> HeisenbergSystem:
     q = F.q
     if eps is None:
         eps = least_nonsquare(F)
+    elif not is_int(eps) or not 0 <= eps < q:
+        raise ConstructionError(f"eps = {eps!r} is not an element 0..{q - 1}")
     elif F.is_square(eps):
         raise ConstructionError(f"eps = {eps} is a square")
     G = heisenberg(F, 1)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .groups import FiniteGroup
+from .groups import FiniteGroup, is_int
 
 # A product is computed only when max|a|, max|b| and |a|_1 * max|b| are all
 # below 2^31, in Python ints so that the test itself cannot wrap.  Every
@@ -78,9 +78,7 @@ class GroupRingElement:
                            int(a.max()) - int(b.min()))
 
     def __rmul__(self, scalar: int):
-        if isinstance(scalar, bool) or not isinstance(
-                scalar, (int, np.integer)) or not (
-                _INT64[0] <= scalar < _INT64[1]):
+        if not is_int(scalar) or not _INT64[0] <= scalar < _INT64[1]:
             raise GroupRingError(f"scalar {scalar!r} is not an int64 integer")
         scalar = int(scalar)
         ends = (scalar * int(self.vec.min()), scalar * int(self.vec.max()))
@@ -128,10 +126,6 @@ class GroupRingElement:
         out[self.group.inv] = self.vec
         return GroupRingElement(self.group, out)
 
-    def scalar(self, other) -> int:
-        self._check(other)
-        return int(self.vec @ other.vec)
-
     def support(self):
         return tuple(int(g) for g in np.nonzero(self.vec)[0])
 
@@ -160,7 +154,7 @@ def _integers(items):
     if has_bool or arr.dtype.kind not in "iu":
         arr = np.asarray(items, dtype=object)
         for pos, x in enumerate(arr.ravel()):
-            if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+            if not is_int(x):
                 raise GroupRingError(
                     f"entry {x!r} at position {pos} is not an integer")
     return arr

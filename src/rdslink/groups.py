@@ -185,13 +185,18 @@ def _audit_table(table: np.ndarray) -> list:
     return gens
 
 
+def is_int(x) -> bool:
+    """Whether x is an int or a numpy integer; a bool is not one."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def check_integer_cells(cells: list, shape: tuple):
     """Raise GroupError naming the first of cells (a table's entries,
     row-major over shape) that is not an integer; a bool is not one."""
     if {int}.issuperset(map(type, cells)):
         return
     for pos, x in enumerate(cells):
-        if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        if not is_int(x):
             at = tuple(int(i) for i in np.unravel_index(pos, shape))
             raise GroupError(f"table entry {x!r} at {at} is not an integer")
 
@@ -316,9 +321,13 @@ class Subgroup:
     members: tuple  # sorted element indices
 
     def __post_init__(self):
+        v = self.group.order
+        for g in self.members:  # before sorting, which needs numbers
+            if not is_int(g):
+                raise GroupError(f"subgroup member {g!r} is not an "
+                                 f"element index 0..{v - 1}")
         mem = tuple(sorted(set(self.members)))
         object.__setattr__(self, "members", mem)
-        v = self.group.order
         outside = [g for g in mem if not 0 <= g < v]
         if outside:
             raise GroupError(f"subgroup member {outside[0]} is not an "
@@ -501,16 +510,15 @@ def center(G: FiniteGroup) -> Subgroup:
     return Subgroup(G, tuple(members.tolist()))
 
 
-def is_transversal(G: FiniteGroup, H: Subgroup, X):
-    """(left, right): does X meet every left / right H-coset exactly once."""
-    X = np.asarray(list(X))
-    if X.size * len(H) != G.order:
-        return (False, False)
-    t, h = G.table, np.asarray(H.members)
-    # right coset of g is Hg; X is a right transversal iff the sets Hx cover G
-    right = np.unique(t[np.ix_(h, X)]).size == G.order
-    left = np.unique(t[np.ix_(X, h)]).size == G.order
-    return (left, right)
+def is_transversal(G: FiniteGroup, H: Subgroup, X) -> bool:
+    """Does X meet every right H-coset Hg exactly once: with |H| |X| = v,
+    iff the products h x mark every element of G."""
+    X = list(X)
+    if len(X) * len(H) != G.order:
+        return False
+    hit = np.zeros(G.order, dtype=bool)
+    hit[G.table[np.ix_(H.members, X)]] = True
+    return bool(hit.all())
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +639,7 @@ def central_product(G1: FiniteGroup, G2: FiniteGroup,
         _fill(idx_of_pair[_factor_rows(G1, G2, a, b)].astype(np.uint16)),
         labels=[f"[{G1.labels[x]}.{G2.labels[y]}]"
                 for x, y in zip(a.tolist(), b.tolist())],
-        name=f"{G1.name}*{G2.name}", elements=list(range(v)))
+        name=f"{G1.name}*{G2.name}")
     embed1 = idx_of_pair[np.arange(v1) * v2]
     embed2 = idx_of_pair[:v2]
     for i, Gi, emb in ((1, G1, embed1), (2, G2, embed2)):

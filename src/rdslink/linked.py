@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ff import is_prime
-from .groups import CentralProduct, FiniteGroup, Subgroup, Automorphism
+from .groups import (CentralProduct, FiniteGroup, Subgroup, Automorphism,
+                     is_int)
 from .groupring import GroupRingElement
 from .rds import product_sets, verify_rds
 
@@ -144,15 +145,11 @@ def verify_linked(G: FiniteGroup, N: Subgroup, family) -> LinkedCertificate:
     if mu * k + nu * (m * n - k) != k * k:
         raise LinkedError("counting identity mu k + nu(mn - k) = k^2 fails")
     branches = munu_branches(m, n, k)
-    note = ""
     if (mu, nu) not in branches:
-        note = (f"computed (mu, nu) = ({mu},{nu}) matches neither closed "
-                f"branch {branches}")
-    cert = LinkedCertificate(G, N, sets, m, n, k, lam, s, mu, nu, chi, psi,
-                             certs, note)
-    if note:
-        raise LinkedError(note)
-    return cert
+        raise LinkedError(f"computed (mu, nu) = ({mu},{nu}) matches neither "
+                          f"closed branch {branches}")
+    return LinkedCertificate(G, N, sets, m, n, k, lam, s, mu, nu, chi, psi,
+                             certs)
 
 
 def munu_by_sign(m: int, n: int, k: int) -> dict:
@@ -236,8 +233,7 @@ def associated_group(s: int, chi, psi) -> AssociatedGroup:
     that (chi, psi) did not come from a genuine closed linked system.
     """
     def index(x, what):
-        if isinstance(x, bool) or not isinstance(x, (int, np.integer)) \
-                or not 0 <= x < s:
+        if not is_int(x) or not 0 <= x < s:
             raise LinkedError(f"{what} = {x!r} is not an index 0..{s - 1}")
         return int(x)
 
@@ -304,7 +300,13 @@ def linked_product(cp: CentralProduct, L1: LinkedCertificate,
     if f is None:
         f = {a: a for a in range(s)}
     else:
-        f = {int(a): int(f[a]) for a in f}
+        if not isinstance(f, dict):
+            raise LinkedError(f"f = {f!r} is not a dict from S to S")
+        for a, b in f.items():
+            if not (is_int(a) and is_int(b)):
+                raise LinkedError(f"f maps {a!r} to {b!r}; both must be "
+                                  f"int indices 0..{s - 1}")
+        f = {int(a): int(b) for a, b in f.items()}
         if set(f) != set(range(s)) or set(f.values()) != set(range(s)):
             raise LinkedError("f must permute S (and fix infinity)")
         # f must extend to an automorphism of the associated group, where

@@ -129,15 +129,26 @@ class IntersectionArray:
 # RDS / PDS verification
 
 
-def verify_rds(G: FiniteGroup, X, N: Subgroup) -> RdsCertificate:
-    """Check X.X^(-1) = k e + lambda (G - N) exactly and certify."""
+def verify_rds(G: FiniteGroup, X, N: Subgroup | None = None) -> RdsCertificate:
+    """Check X.X^(-1) = k e + lambda (G - N) exactly and certify.
+
+    Without N, N is the one forbidden subgroup X allows: lambda > 0, so
+    X.X^(-1) vanishes exactly on N^#, and N is e plus its zero set;
+    RdsError when that set is not a subgroup."""
     x = GroupRingElement.indicator(G, X)
     X = x.support()
     k = len(X)
-    if N.group is not G:
+    if N is not None and N.group is not G:
         raise RdsError("forbidden subgroup belongs to a different group")
     xx = x * x.involution()
     d = xx.vec.copy()
+    if N is None:
+        try:
+            N = Subgroup(G, (0,) + tuple(np.flatnonzero(d == 0).tolist()))
+        except GroupError as exc:
+            raise RdsError(
+                f"e plus the zero set of X.X^(-1) is not a subgroup: {exc}"
+            ) from exc
     if d[0] != k:
         raise EquationFails(
             f"coefficient at identity is {int(d[0])}, expected {k}",
@@ -163,7 +174,7 @@ def verify_rds(G: FiniteGroup, X, N: Subgroup) -> RdsCertificate:
         raise RdsError("parameter identity k(k-1) = lambda n (m-1) fails")
     semiregular = (k == m)
     # cross-check: X meets every right N-coset exactly once
-    if semiregular and not is_transversal(G, N, X)[1]:
+    if semiregular and not is_transversal(G, N, X):
         raise LemmaViolation("k = m but X is not a right transversal")
     reversible = (X == tuple(sorted(int(G.inv[g]) for g in X)))
     icom = is_icommuting(x, xx, N)
@@ -183,24 +194,6 @@ def is_icommuting(x: GroupRingElement, xx: GroupRingElement,
             f"i-commuting criteria disagree on X={x.support()}, "
             f"N={N.members}")
     return by_product
-
-
-def certify_rds(G: FiniteGroup, X) -> RdsCertificate:
-    """verify_rds against the one forbidden subgroup X allows.
-
-    lambda > 0, so X.X^(-1) vanishes exactly on N^#: N is e plus the zero
-    set of X.X^(-1).  Raises RdsError when that set is not a subgroup and
-    verify_rds's own error when X fails the equation relative to it.
-    """
-    x = GroupRingElement.indicator(G, X)
-    d = (x * x.involution()).vec
-    try:
-        N = Subgroup(G, (0,) + tuple(np.flatnonzero(d == 0).tolist()))
-    except GroupError as exc:
-        raise RdsError(
-            f"e plus the zero set of X.X^(-1) is not a subgroup: {exc}"
-        ) from exc
-    return verify_rds(G, X, N)
 
 
 def verify_pds(G: FiniteGroup, S) -> PdsCertificate:

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ff import Field
-from .groups import FiniteGroup, Automorphism, _check_budget, orbits
+from .groups import (FiniteGroup, Automorphism, _check_budget, is_int,
+                     orbits)
 from .groupring import GroupRingElement, class_values
 
 
@@ -31,8 +32,7 @@ class SchurPartition:
         class_of = np.full(v, -1, dtype=np.int64)
         for i, c in enumerate(classes):
             for g in c:
-                if isinstance(g, bool) or not isinstance(
-                        g, (int, np.integer)) or not 0 <= g < v:
+                if not is_int(g) or not 0 <= g < v:
                     raise SRingError(f"class {i} has member {g!r}, not an "
                                      f"element index 0..{v - 1}")
                 if class_of[g] >= 0:
@@ -172,6 +172,9 @@ def amorphic_latin(F: Field, t: int, labeling=None):
         labeling = default_labeling(n, t)
     if len(labeling) != t:
         raise SRingError("labeling must have t cells")
+    for i in itertools.chain(*labeling):  # before sorting, which needs ints
+        if not is_int(i):
+            raise SRingError(f"labeling entry {i!r} is not a line 0..{n}")
     if sorted(len(c) for c in labeling[1:]) != [n // t] * (t - 1) or \
             len(labeling[0]) != n // t + 1:
         raise SRingError("labeling cells must have sizes n/t + 1, n/t, ...")

@@ -17,56 +17,72 @@ SOURCES = sorted((ROOT / "src" / "rdslink").glob("*.py"))
 BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
 
 
-def _references(tree):
-    """Names a tree uses: identifiers, attributes, imported names, and
-    the dotted parts of strings (perfbench binds its spans by strings
-    such as "FiniteGroup.from_elements")."""
+def _references(tree, kinds=("name", "attribute", "string")):
+    """Names a tree uses, of the kinds given: identifiers and imported
+    names ("name"), attributes ("attribute"), and the dotted parts of
+    strings ("string"; perfbench binds its spans by strings such as
+    "FiniteGroup.from_elements")."""
     out = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            out[node.id] += 1
+            kind, names = "name", [node.id]
         elif isinstance(node, ast.Attribute):
-            out[node.attr] += 1
+            kind, names = "attribute", [node.attr]
         elif isinstance(node, ast.alias):
-            out[node.name.rsplit(".", 1)[-1]] += 1
+            kind, names = "name", [node.name.rsplit(".", 1)[-1]]
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            out.update(node.value.split("."))
+            kind, names = "string", node.value.split(".")
+        else:
+            continue
+        if kind in kinds:
+            out.update(names)
     return out
 
 
 def _definitions(tree):
-    """(name, node) for every function and method of a module, and for
-    every name its top-level statements assign, node being the
-    statement."""
+    """(name, node, is_method) for every function and method of a
+    module, and for every name its top-level statements assign, node
+    being the statement."""
+    methods = {id(node) for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef) for node in cls.body}
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node.name, node
+            yield node.name, node, id(node) in methods
     for node in tree.body:
         if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
             targets = getattr(node, "targets", None) or [node.target]
             for target in targets:
                 for leaf in ast.walk(target):
                     if isinstance(leaf, ast.Name):
-                        yield leaf.id, node
+                        yield leaf.id, node, False
 
 
 def _unreferenced():
+    """A method is read only as an attribute (x.name) or through a
+    perfbench string, so a plain name that happens to match it, such as
+    a parameter, is no reader."""
     trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
-    in_sources = Counter()
-    for tree in trees.values():
-        in_sources += _references(tree)
-    elsewhere = set(rdslink.__all__)
-    for path in BENCHMARK:
-        elsewhere |= set(_references(ast.parse(path.read_text())))
+    benchmark = [ast.parse(path.read_text()) for path in BENCHMARK]
+    kinds = {False: ("name", "attribute", "string"),
+             True: ("attribute",)}
+    in_sources = {method: Counter() for method in kinds}
+    elsewhere = {False: set(rdslink.__all__), True: set()}
+    for method, found in kinds.items():
+        for tree in trees.values():
+            in_sources[method] += _references(tree, found)
+        for tree in benchmark:
+            elsewhere[method] |= set(_references(
+                tree, found + ("string",)))
     out = []
     for module, tree in trees.items():
-        for name, node in _definitions(tree):
+        for name, node, method in _definitions(tree):
             if name.startswith("__") and name.endswith("__"):
                 continue  # read by the language
             # a call from inside its own body, or the assignment's own
             # target, is no reader
-            outside = in_sources[name] - _references(node)[name]
-            if outside <= 0 and name not in elsewhere:
+            outside = (in_sources[method][name]
+                       - _references(node, kinds[method])[name])
+            if outside <= 0 and name not in elsewhere[method]:
                 out.append(f"{module}:{node.lineno} {name}")
     return out
 

@@ -547,7 +547,7 @@ def _reads_as_json(path, text):
     return _parsed(cli._read_json, path) == _parsed(_json_load, path)
 
 
-PLACEHOLDER = "-0E-" + "0" * 20  # the reader's literal for its first array
+PLACEHOLDER = "-0E-" + "0" * 20  # a literal with an exponent
 LABELED = json.dumps({"labels": ["e]", "café χ", "[2", "3"],
                       "name": "C₂ × C₂",
                       "table": [0, 1, 2, 3, 1, 0, 3, 2, 2, 3, 0, 1,
@@ -571,11 +571,17 @@ READER_CORPUS = [
     '["\\\\"[1]]', '["a\\"[1]", [2]]', '["ab\\\\", "\\u005b1]"]',
     "[1, null]", '{"psi": [[0, 1], [1, null], [22, 3]]}',
     '{"t": [10, 20, 30', "\ufeff[1]", '\ufeff{"a": [1]}',
-    # the file's own literal equals the first array's placeholder, read
-    # before or after it; and a literal that runs into a placeholder
+    # literals with an exponent beside arrays; and literals that run into
+    # an array's text
     f"[{PLACEHOLDER}, [1, 2]]", f'{{"t": [1, 2], "x": {PLACEHOLDER}}}',
     f"[[1, 2], [3], {PLACEHOLDER}]", "[[1, 2]0]", "[[1, 2]e5]",
     '{"t": [1, 2, 3], "x": 2.5e3, "u": [4, 5], "y": -0E-1}',
+    # the file's own NaN, which the reader writes for each array it cuts,
+    # before an array and after one; the other constants beside arrays;
+    # and a NaN that runs into an array's text
+    "[NaN, [1, 2]]", '{"t": [1, 2], "x": NaN}', "[[1, 2], [3], NaN]",
+    "[Infinity, [1, 2], -Infinity]", '{"t": [1], "x": -Infinity, "u": [2]}',
+    "[[1, 2]NaN]", '["NaN", [1], "[2]", NaN]',
     # deeper than the reader's Python frames allow, and than json's own
     pytest.param("[" * 700 + "]" * 700, id="nested-700"),
     pytest.param('{"a": ' * 700 + "[1]" + "}" * 700, id="objects-700"),
@@ -627,13 +633,14 @@ def test_reader_keeps_arrays_beside_floats(tmp_path, monkeypatch, chunk):
     monkeypatch.setattr(cli, "_CHUNK", chunk)
     path = tmp_path / "doc.json"
     path.write_text('{"t": [1, 2, 3], "x": 2.5e3, "u": [[4, 5], 0.5],'
-                    ' "y": -0E-1}')
+                    ' "y": -0E-1, "z": [Infinity, -Infinity]}')
     doc = cli._read_json(path)
     assert isinstance(doc["t"], np.ndarray) and doc["t"].tolist() == [1, 2, 3]
     assert isinstance(doc["u"][0], np.ndarray)
     assert doc["u"][0].tolist() == [4, 5]
     assert [doc["x"], doc["u"][1], doc["y"]] == [2500.0, 0.5, -0.0]
     assert all(type(doc[k]) is float for k in "xy")
+    assert doc["z"] == [float("inf"), float("-inf")]
 
 
 def test_reader_refuses_an_array_longer_than_any_table(tmp_path,

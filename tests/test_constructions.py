@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from rdslink.constructions import (ConstructionError, dps_system,
                                    extraspecial_rds, heisenberg_system,
                                    heisenberg_system_2r, q8_system,
                                    q8_system_2r, theorem_1_2_rds)
+from rdslink.schur import SRingError
 
 
 # ---------------------------------------------------------------------------
@@ -43,8 +46,7 @@ def test_heisenberg_orbits_are_gamma_form(heis3):
 def test_heisenberg_transversals(heis3):
     for i, X in heis3.sets.items():
         assert len(heis3.orbit_sets[i]) == 8  # q^2 - 1
-        left, right = is_transversal(heis3.group, heis3.center, X)
-        assert right
+        assert is_transversal(heis3.group, heis3.center, X)
 
 
 def test_heisenberg_chi_psi(heis5):
@@ -64,6 +66,22 @@ def test_heisenberg_rejects_even_and_square_eps():
         heisenberg_system(field_make(2, 2))
     with pytest.raises(ConstructionError):
         heisenberg_system(field_make(5), eps=4)
+
+
+@pytest.mark.parametrize("eps", [2.0, 7, -1, "2", True])
+def test_heisenberg_rejects_an_eps_outside_the_field(eps):
+    with pytest.raises(ConstructionError, match=re.escape(
+            f"eps = {eps!r} is not an element 0..4")):
+        heisenberg_system(field_make(5), eps=eps)
+
+
+@pytest.mark.parametrize("entry", ["a", 2.0, None, True])
+def test_dps_rejects_a_labeling_entry_that_is_no_line(entry):
+    # GF(4), t = 4: cells of 2, 1, 1 and 1 of the five lines
+    with pytest.raises(SRingError, match=re.escape(
+            f"labeling entry {entry!r} is not a line 0..4")):
+        dps_system(field_make(2, 2), 4, labeling=[(0, entry), (2,), (3,),
+                                                  (4,)])
 
 
 def test_heisenberg_2r_base_case():

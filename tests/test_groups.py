@@ -533,6 +533,13 @@ def test_subgroup_validation():
         Subgroup(G, (0, 2, 3))
 
 
+@pytest.mark.parametrize("member", [1.5, "2", None, True, (0,)])
+def test_subgroup_rejects_a_member_that_is_no_index(member):
+    with pytest.raises(GroupError, match=re.escape(
+            f"subgroup member {member!r} is not an element index 0..3")):
+        Subgroup(cyclic(4), (0, member))
+
+
 def test_subgroup_closure_and_cosets():
     G = cyclic(12)
     H = Subgroup(G, (0, 4, 8))
@@ -544,8 +551,8 @@ def test_subgroup_closure_and_cosets():
 def test_transversal():
     G = cyclic(6)
     H = Subgroup(G, (0, 3))
-    assert is_transversal(G, H, [0, 1, 2]) == (True, True)
-    assert is_transversal(G, H, [0, 1, 4]) == (False, False)
+    assert is_transversal(G, H, [0, 1, 2]) is True
+    assert is_transversal(G, H, [0, 1, 4]) is False
 
 
 def test_automorphism_validation():
@@ -680,6 +687,7 @@ def test_central_product_q8_q8():
     cp = central_product(G1, G1, Z, Z)
     G = cp.group
     assert G.order == 32
+    assert G.elements is None and G.index is None
     assert len(cp.amalgamated) == 2
     im1, im2 = cp.embed1, cp.embed2
     # embedded factors commute elementwise

@@ -181,6 +181,23 @@ def test_linked_product_over_every_f(heis3):
                 linked_product(cp, L, L, f=dict(enumerate(f)))
 
 
+@pytest.mark.parametrize("f, named", [
+    ({0: 1.5, 1: 0}, "f maps 0 to 1.5;"),
+    ({0: "1", 1: 0}, "f maps 0 to '1';"),
+    ({0: True, 1: 0}, "f maps 0 to True;"),
+    ({0.0: 1, 1: 0}, "f maps 0.0 to 1;"),
+    ([1, 0], "f = [1, 0] is not a dict"), (5, "f = 5 is not a dict")])
+def test_linked_product_rejects_a_malformed_f(q8cert, f, named):
+    # int() once read 1.5 and "1" as 1, certifying the product for
+    # f = {0: 1, 1: 0}
+    G, N = q8cert.group, q8cert.N
+    cp = central_product(G, G, N, N)
+    assert linked_product(cp, q8cert, q8cert, f={0: 1, 1: 0}).parameters \
+        == (16, 2, 16, 8, 2, 10, 6)
+    with pytest.raises(LinkedError, match=re.escape(named)):
+        linked_product(cp, q8cert, q8cert, f=f)
+
+
 def test_linked_product_takes_systems_of_the_factors(q8cert):
     G, N = q8cert.group, q8cert.N
     Q = quaternion8()  # a rebuilt copy of Q8

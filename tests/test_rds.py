@@ -8,7 +8,7 @@ from rdslink.groups import (Subgroup, center, central_product, cyclic,
                             extraspecial_mp3, heisenberg)
 from rdslink.rds import (EquationFails, IntersectionArray, LambdaNotPositive,
                          RdsError, WrongDiameter, cayley_adjacency,
-                         certify_drg3, certify_rds, dev, is_icommuting,
+                         certify_drg3, dev, is_icommuting,
                          rds_product, rds_to_pds,
                          symplectic_standard, thas_somma, verify_pds,
                          verify_rds)
@@ -49,7 +49,7 @@ def test_lambda_not_positive():
 
 def test_find_forbidden():
     G = cyclic(4)
-    assert certify_rds(G, (0, 1)).N.members == (0, 2)
+    assert verify_rds(G, (0, 1)).N.members == (0, 2)
 
 
 def test_find_forbidden_above_old_scan_cap():
@@ -57,16 +57,17 @@ def test_find_forbidden_above_old_scan_cap():
     # once for each d != 0 and misses {0} x C47^#
     G = direct_product(cyclic(47), cyclic(47))
     X = [x * 47 + x * x % 47 for x in range(47)]
-    cert = certify_rds(G, X)
+    cert = verify_rds(G, X)
     assert cert.N.members == tuple(range(47))
     assert cert.parameters == (47, 47, 47, 1)
+    assert cert == verify_rds(G, X, cert.N)
 
 
-def test_certify_rds_zero_set_not_subgroup():
+def test_verify_rds_zero_set_not_subgroup():
     # in C8, {0,1}.{0,1}^(-1) vanishes on {2,...,6}, which with 0 is no
     # subgroup
     with pytest.raises(RdsError, match="not a subgroup"):
-        certify_rds(cyclic(8), (0, 1))
+        verify_rds(cyclic(8), (0, 1))
 
 
 def _single_swaps(G, X):

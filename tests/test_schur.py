@@ -138,6 +138,13 @@ def test_perturbed_labeling_rejected():
         verify_sring(_amorphic_partition(G, bad))
 
 
+@pytest.mark.parametrize("entry", ["a", 2.0, None, True])
+def test_amorphic_latin_rejects_a_labeling_entry_that_is_no_line(entry):
+    with pytest.raises(SRingError, match=re.escape(
+            f"labeling entry {entry!r} is not a line 0..4")):
+        amorphic_latin(field_make(2, 2), 2, [(0, 1, entry), (3, 4)])
+
+
 def test_amorphic_latin_bad_t():
     with pytest.raises(SRingError):
         amorphic_latin(field_make(3), 2)
