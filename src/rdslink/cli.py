@@ -57,15 +57,15 @@ def _holds_array(obj) -> bool:
 
 def _table_chunks(table: np.ndarray, pad: str):
     """A Cayley table (entries 0..v-1) as json.dumps writes the list of
-    its entries, row-major, 64 rows to a piece."""
+    its entries, row-major, 16 rows to a piece."""
     v = len(table)
     words = np.array([str(i) for i in range(v)], dtype=object)
     sep = "," + pad + "  "
     yield "[" + pad + "  "
-    for start in range(0, v, 64):
+    for start in range(0, v, 16):
         if start:
             yield sep
-        yield sep.join(words[table[start:start + 64].reshape(-1)].tolist())
+        yield sep.join(words[table[start:start + 16].reshape(-1)].tolist())
     yield pad + "]"
 
 
@@ -188,7 +188,7 @@ def cmd_construct(args):
 # verify
 
 
-_CHUNK = 1 << 20  # characters of a file read at a time
+_CHUNK = 1 << 18  # characters of a file read at a time
 _IN_STRING = re.compile(r'["\\]')  # in a string: its end, or an escape
 _OUTSIDE = re.compile(r'"|\[[ \t\n\r]*')  # a string, or an array and blanks
 # each byte's class: a digit "d", a comma, or else "x"
@@ -244,12 +244,15 @@ def _int_array(fh, text: str, start: int, path):
 
     The array is parsed from the text held, cut at its last comma, and
     that text is dropped before the next _CHUNK characters are read, so
-    its v^2 entries never form one string or a Python int each.  If the
-    array is anything else, the result is (None, text, 0), with more
-    text appended but none dropped, or _Reread once a piece was parsed
-    (its text may be gone).  An array longer than any table the budget
-    admits is a GroupError."""
-    pieces, count = [], 0
+    its v^2 entries never form one string or a Python int each.  Each
+    piece is written into one array that grows in place by exactly that
+    piece (a realloc, so the old and new blocks are never both held),
+    widened only when a piece needs a larger dtype.  If the array is
+    anything else, the result is (None, text, 0), with more text
+    appended but none dropped, or _Reread once a piece was parsed (its
+    text may be gone).  An array longer than any table the budget admits
+    is a GroupError."""
+    array, count = None, 0
     while True:
         close = text.find("]", start)
         cut = close if close >= 0 else text.rfind(",", start)
@@ -257,24 +260,30 @@ def _int_array(fh, text: str, start: int, path):
             chunk = fh.read(_CHUNK)
             if not chunk:
                 break
-            if pieces:
+            if array is not None:
                 text, start = text[start:], 0
             text += chunk
             continue
         values = _int_piece(text[start:cut])
         if values is None:
             break
-        count += values.size
-        if count > groups.TABLE_BYTES // 2:
+        if count + values.size > groups.TABLE_BYTES // 2:
             raise GroupError(f"{path}: an array of more than "
                              f"{groups.TABLE_BYTES // 2:,} integers is "
                              f"longer than any table the budget admits")
-        pieces.append(values)
+        if array is None:
+            array = values
+        else:
+            if values.dtype.itemsize > array.dtype.itemsize:
+                array = array.astype(values.dtype)
+            # zero-fills what it adds: grow by the piece, and no more
+            array.resize(count + values.size, refcheck=False)
+            array[count:] = values
+        count += values.size
         if cut == close:
-            array = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
             return array, text, close + 1
         start = cut + 1
-    if pieces:
+    if array is not None:
         raise _Reread
     return None, text, 0
 
@@ -482,9 +491,7 @@ def cmd_verify(args):
             report["certificates"] = [{"partition": P.to_json(),
                                        "tensor": sc.tensor.tolist()}]
         elif args.kind == "linked":
-            # without one, the subgroup the first set's X.X^(-1) fixes
-            N = forbidden() or verify_rds(G, sets[0]).N
-            cert = verify_linked(G, N, sets)
+            cert = verify_linked(G, forbidden(), sets)
             report["certificates"] = [cert.to_json()]
         report["ok"] = True
     except Exception as exc:

@@ -74,10 +74,13 @@ class LinkedCertificate:
                 "branch_note": self.branch_note}
 
 
-def verify_linked(G: FiniteGroup, N: Subgroup, family) -> LinkedCertificate:
+def verify_linked(G: FiniteGroup, N: Subgroup | None,
+                  family) -> LinkedCertificate:
     """Verify a closed linked system and extract everything from the data.
 
-    chi comes from matching inverses inside the family; for every
+    Without N, N is the forbidden subgroup the first member's certificate
+    finds (see verify_rds), and the other members are certified against
+    it.  chi comes from matching inverses inside the family; for every
     non-inverse pair the product must take exactly two coefficient
     values, the level set of the smaller-support value being a family
     member; (mu, nu) are read off and cross-checked against the closed
@@ -90,7 +93,9 @@ def verify_linked(G: FiniteGroup, N: Subgroup, family) -> LinkedCertificate:
         raise LinkedError("a linked system needs at least 2 members")
     if len(set(sets)) != s:
         raise LinkedError("family members must be pairwise distinct")
-    certs = [verify_rds(G, X, N) for X in sets]
+    certs = [verify_rds(G, sets[0], N)]
+    N = certs[0].N
+    certs += [verify_rds(G, X, N) for X in sets[1:]]
     params = {c.parameters for c in certs}
     if len(params) != 1:
         raise LinkedError(f"members have different parameters: {params}")

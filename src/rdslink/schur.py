@@ -19,22 +19,34 @@ class SRingError(ValueError):
     pass
 
 
+def _entries(c, name: str) -> tuple:
+    """The entries of c, named name in the SRingError raised when c is
+    not a sequence."""
+    try:
+        return tuple(c)
+    except TypeError:
+        raise SRingError(f"{name} is {c!r}, not a sequence") from None
+
+
 class SchurPartition:
     """A partition of G into basic sets with {e} a class and classes
     closed under inversion."""
 
     def __init__(self, group: FiniteGroup, classes):
-        classes = [tuple(sorted(set(c))) for c in classes]
-        empty = [i for i, c in enumerate(classes) if not c]
-        if empty:
-            raise SRingError(f"class {empty[0]} is empty")
         v = group.order
-        class_of = np.full(v, -1, dtype=np.int64)
-        for i, c in enumerate(classes):
+        classes = [_entries(c, f"class {i}") for i, c in enumerate(classes)]
+        for i, c in enumerate(classes):  # before sorting, which needs ints
             for g in c:
                 if not is_int(g) or not 0 <= g < v:
                     raise SRingError(f"class {i} has member {g!r}, not an "
                                      f"element index 0..{v - 1}")
+        classes = [tuple(sorted(set(c))) for c in classes]
+        empty = [i for i, c in enumerate(classes) if not c]
+        if empty:
+            raise SRingError(f"class {empty[0]} is empty")
+        class_of = np.full(v, -1, dtype=np.int64)
+        for i, c in enumerate(classes):
+            for g in c:
                 if class_of[g] >= 0:
                     raise SRingError(f"element {g} appears in two classes")
                 class_of[g] = i
@@ -172,6 +184,8 @@ def amorphic_latin(F: Field, t: int, labeling=None):
         labeling = default_labeling(n, t)
     if len(labeling) != t:
         raise SRingError("labeling must have t cells")
+    labeling = [_entries(c, f"labeling cell {h}")
+                for h, c in enumerate(labeling)]
     for i in itertools.chain(*labeling):  # before sorting, which needs ints
         if not is_int(i):
             raise SRingError(f"labeling entry {i!r} is not a line 0..{n}")

@@ -41,6 +41,21 @@ def test_partition_rejects_non_element_members(classes, witness):
         SchurPartition(cyclic(4), classes)
 
 
+@pytest.mark.parametrize("build, witness", [
+    (lambda: SchurPartition(cyclic(4), [(0,), (1, "a")]),
+     "class 1 has member 'a', not an element index 0..3"),
+    (lambda: SchurPartition(cyclic(4), [(0,), (1, None), (2, 3)]),
+     "class 1 has member None, not an element index 0..3"),
+    (lambda: SchurPartition(cyclic(4), [(0,), 5]),
+     "class 1 is 5, not a sequence"),
+    (lambda: amorphic_latin(field_make(2, 2), 2, [(0, 1, 2), 3]),
+     "labeling cell 1 is 3, not a sequence")],
+    ids=["string-member", "none-member", "int-class", "int-cell"])
+def test_entries_are_checked_before_they_are_sorted(build, witness):
+    with pytest.raises(SRingError, match=f"^{re.escape(witness)}$"):
+        build()
+
+
 def test_verify_sring_cyclic():
     G = cyclic(5)
     P = SchurPartition(G, [(0,), (1, 4), (2, 3)])
