@@ -487,9 +487,8 @@ def cmd_verify(args):
             if [0] not in classes and (0,) not in [tuple(c) for c in classes]:
                 classes = [[0]] + classes
             P = SchurPartition(G, classes)
-            sc = verify_sring(P)
             report["certificates"] = [{"partition": P.to_json(),
-                                       "tensor": sc.tensor.tolist()}]
+                                       "tensor": verify_sring(P).tolist()}]
         elif args.kind == "linked":
             cert = verify_linked(G, forbidden(), sets)
             report["certificates"] = [cert.to_json()]
@@ -559,10 +558,9 @@ def cmd_export(args):
         else:
             p, r = _prime_power(args.q)
             P = cons.heisenberg_system(field_make(p, r)).partition
-        sc = verify_sring(P)
         chunks = _json_text({"classes": [list(c) for c in P.classes],
                              "class_sizes": P.class_sizes(),
-                             "tensor": sc.tensor.tolist()})
+                             "tensor": verify_sring(P).tolist()})
     else:  # pragma: no cover
         raise ValueError(f"unknown export {args.what}")
     _write(args.out, chunks)

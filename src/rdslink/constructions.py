@@ -12,11 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ff import Field, field_make, least_nonsquare, is_prime
+from .ff import (Field, field_make, least_nonsquare, is_int, is_prime,
+                 require_ints)
 from .groups import (FiniteGroup, Subgroup, Automorphism,
                      automorphism_from_images, center, central_product,
                      elementary_abelian, extraspecial_mp3, heisenberg,
-                     is_int, quaternion8, direct_product)
+                     quaternion8, direct_product)
 from .linked import LinkedCertificate, linked_product, verify_linked
 from .rds import rds_product, verify_pds, verify_rds
 from .schur import SchurPartition, amorphic_latin, cyclotomic
@@ -160,13 +161,13 @@ def _iterated_product(cert, base_cert, r, product):
     return cert
 
 
-def heisenberg_system_2r(F: Field, r: int,
-                         eps: int | None = None) -> LinkedCertificate:
+def heisenberg_system_2r(F: Field, r: int) -> LinkedCertificate:
     """Linked system in the Heisenberg group of dimension 2r+1,
     assembled by iterated products over central products (f = id)."""
+    require_ints(ConstructionError, r=r)
     if r < 1:
         raise ConstructionError("r must be >= 1")
-    base = heisenberg_system(F, eps=eps).certificate
+    base = heisenberg_system(F).certificate
     return _iterated_product(base, base, r, linked_product)
 
 
@@ -210,6 +211,7 @@ def extraspecial_rds(p: int) -> ExtraspecialSystem:
     """All the M_{p^3} machinery: the Frobenius automorphism group, its
     orbit partition, the 2p difference-set certificates and p partial
     difference sets, and the automorphisms moving X_0 to X_i."""
+    require_ints(ConstructionError, p=p)
     if not is_prime(p) or p == 2:
         raise ConstructionError("p must be an odd prime")
     G = extraspecial_mp3(p)
@@ -327,6 +329,7 @@ def q8_system() -> LinkedCertificate:
 
 def q8_system_2r(r: int) -> LinkedCertificate:
     """Central product of r quaternion groups, linked with f = id."""
+    require_ints(ConstructionError, r=r)
     if r < 1:
         raise ConstructionError("r must be >= 1")
     base = q8_system()
@@ -358,11 +361,12 @@ def dps_system(F: Field, t: int, s: int | None = None,
     divisor of t; the amorphic Latin-square sets over G = F x F are
     glued along S^# as Y_f = {e} + union of h^f X_h.
     """
+    if s is None:
+        s = t
+    require_ints(ConstructionError, t=t, s=s)
     n = F.q
     if t < 2 or n % t:
         raise ConstructionError(f"t = {t} must divide n = {n} and be >= 2")
-    if s is None:
-        s = t
     p = F.p
     if s < 2 or t % s:
         raise ConstructionError(f"s = {s} must be a power of {p} dividing t")
@@ -430,6 +434,7 @@ def theorem_1_2_rds(p: int, r: int):
     """Central product of one M_{p^3} (carrying Y_0) with r-1
     dimension-3 Heisenberg factors (each carrying X_0); returns
     (group, set, certificate)."""
+    require_ints(ConstructionError, p=p, r=r)
     if not is_prime(p) or p == 2:
         raise ConstructionError("p must be an odd prime")
     if r < 1:

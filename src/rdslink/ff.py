@@ -18,6 +18,18 @@ class FieldError(ValueError):
     pass
 
 
+def is_int(x) -> bool:
+    """Whether x is an int or a numpy integer; a bool is not one."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def require_ints(error, **args):
+    """Raise error naming the first of args that is not an int."""
+    for name, x in args.items():
+        if not is_int(x):
+            raise error(f"{name} = {x!r} is not an int")
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -94,7 +106,8 @@ class Field:
     Python scalar for scalar input.
     """
 
-    def __init__(self, p: int, r: int = 1, modulus=None):
+    def __init__(self, p: int, r: int = 1):
+        require_ints(FieldError, p=p, r=r)
         if not is_prime(p):
             raise FieldError(f"{p} is not prime")
         if r < 1:
@@ -105,15 +118,7 @@ class Field:
         self.p = p
         self.r = r
         self.q = q
-        if modulus is None:
-            modulus = _least_irreducible(p, r)
-        else:
-            modulus = _poly_trim(list(modulus))
-            if len(modulus) - 1 != r or modulus[-1] != 1:
-                raise FieldError("modulus must be monic of degree r")
-            if not _is_irreducible(modulus, p):
-                raise FieldError("modulus is reducible")
-        self.modulus = tuple(modulus)
+        self.modulus = tuple(_least_irreducible(p, r))
         self._place = p ** np.arange(r, dtype=np.int64)
         # _digits[a] = base-p digits of a, low degree first
         self._digits = np.arange(q, dtype=np.int64)[:, None] // self._place % p
@@ -176,9 +181,6 @@ class Field:
     def add(self, a, b):
         D = self._digits
         return _scalar((D[a] + D[b]) % self.p @ self._place)
-
-    def neg(self, a):
-        return _scalar(-self._digits[a] % self.p @ self._place)
 
     def sub(self, a, b):
         D = self._digits

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .groups import FiniteGroup, is_int
+from .ff import is_int
+from .groups import FiniteGroup
 
 # A product is computed only when max|a|, max|b| and |a|_1 * max|b| are all
 # below 2^31, in Python ints so that the test itself cannot wrap.  Every

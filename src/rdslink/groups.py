@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ff import Field, is_prime
+from .ff import Field, is_int, is_prime, require_ints
 
 # the largest table a constructor will build: 2 bytes an entry, so
 # v <= 32,768, and every entry v - 1 fits in uint16
@@ -185,11 +185,6 @@ def _audit_table(table: np.ndarray) -> list:
     return gens
 
 
-def is_int(x) -> bool:
-    """Whether x is an int or a numpy integer; a bool is not one."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
 def check_integer_cells(cells: list, shape: tuple):
     """Raise GroupError naming the first of cells (a table's entries,
     row-major over shape) that is not an integer; a bool is not one."""
@@ -334,12 +329,20 @@ class Subgroup:
                              f"element index 0..{v - 1}")
         if 0 not in mem:
             raise GroupError("subgroup must contain the identity")
-        # a product-closed subset of a finite group holding e is a subgroup
+        # a product-closed subset of a finite group holding e is a
+        # subgroup; rows of at most _CELLS products at a time, so a large
+        # subset that is not closed is rejected at its first open block
         m = np.asarray(mem)
-        open_at = np.argwhere(~np.isin(self.group.table[np.ix_(m, m)], m))
-        if open_at.size:
-            a, b = m[open_at[0]]
-            raise GroupError(f"subgroup not closed at ({a},{b})")
+        inside = np.zeros(v, dtype=bool)
+        inside[m] = True
+        step = max(1, _CELLS // m.size)
+        for s in range(0, m.size, step):
+            open_at = np.argwhere(
+                ~inside[self.group.table[np.ix_(m[s:s + step], m)]])
+            if open_at.size:
+                a, b = open_at[0]
+                raise GroupError(
+                    f"subgroup not closed at ({m[s + a]},{m[b]})")
 
     def __len__(self):
         return len(self.members)
@@ -397,6 +400,7 @@ class Automorphism:
 
 
 def cyclic(n: int) -> FiniteGroup:
+    require_ints(GroupError, n=n)
     if n < 1:
         raise GroupError("order must be positive")
     _check_budget(n)
@@ -405,6 +409,7 @@ def cyclic(n: int) -> FiniteGroup:
 
 
 def elementary_abelian(p: int, k: int) -> FiniteGroup:
+    require_ints(GroupError, p=p, k=k)
     if not is_prime(p):
         raise GroupError(f"{p} is not prime")
     _check_budget(p ** k)
@@ -444,6 +449,7 @@ def heisenberg(F: Field, r: int = 1) -> FiniteGroup:
     Elements (x, y, z) in F^r x F^r x F with
     (x,y,z)(a,b,c) = (x+a, y+b, z+c+<x,b>).
     """
+    require_ints(GroupError, r=r)
     if F.q % 2 == 0:
         raise GroupError("q must be odd")
     q = F.q
@@ -467,6 +473,7 @@ def extraspecial_mp3(p: int) -> FiniteGroup:
     y x y^-1 = x^{1+p}; the derived law is
     (a,b)(c,d) = (a + c + p*b*c mod p^2, b + d mod p).
     """
+    require_ints(GroupError, p=p)
     if not is_prime(p) or p == 2:
         raise GroupError("p must be an odd prime")
     _check_budget(p ** 3)

@@ -11,9 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ff import is_prime
-from .groups import (CentralProduct, FiniteGroup, Subgroup, Automorphism,
-                     is_int)
+from .ff import is_int, is_prime
+from .groups import CentralProduct, FiniteGroup, Subgroup, Automorphism
 from .groupring import GroupRingElement
 from .rds import product_sets, verify_rds
 
@@ -36,9 +35,6 @@ class LevelSetNotMember(LinkedError):
 
 class NonIntegralBranch(LinkedError):
     pass
-
-
-INF = -1  # index used for the adjoined identity of the associated group
 
 
 @dataclass
@@ -194,7 +190,6 @@ def munu_branches(m: int, n: int, k: int):
 
 @dataclass
 class AssociatedGroup:
-    carrier: list  # INF first, then 0..s-1
     group: FiniteGroup
     kind: str  # "cyclic", "elementary_abelian", "abelian", "nonabelian"
     invariant_factors: tuple  # for abelian kinds
@@ -251,7 +246,6 @@ def associated_group(s: int, chi, psi) -> AssociatedGroup:
         if (a, b) not in psi:
             raise LinkedError(f"psi undefined off the diagonal at ({a},{b})")
     # infinity has index 0 and a in S index a + 1; a chi(a) = infinity
-    carrier = [INF] + list(range(s))
     v = s + 1
     table = np.zeros((v, v), dtype=np.int64)
     table[0] = table[:, 0] = np.arange(v)
@@ -259,8 +253,7 @@ def associated_group(s: int, chi, psi) -> AssociatedGroup:
         rows, cols = np.array(pairs).T + 1
         table[rows, cols] = [index(psi[ab], f"psi{ab}") + 1 for ab in pairs]
     try:
-        G = FiniteGroup(table, labels=[str(c) for c in carrier],
-                        name=f"S^inf({s})")
+        G = FiniteGroup(table, name=f"S^inf({s})")
     except Exception as exc:
         raise LinkedError(f"associated table is not a group: {exc}") from exc
 
@@ -277,7 +270,7 @@ def associated_group(s: int, chi, psi) -> AssociatedGroup:
     else:
         kind = "nonabelian"
         invs = ()
-    return AssociatedGroup(carrier, G, kind, invs)
+    return AssociatedGroup(G, kind, invs)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ff import Field
+from .ff import Field, is_int
 from .groups import (CentralProduct, FiniteGroup, GroupError, Subgroup,
                      _check_budget, is_transversal)
 from .groupring import GroupRingElement, class_values
@@ -388,86 +388,30 @@ def cayley_drg_check(G: FiniteGroup, S):
     return certify_drg3(cayley_adjacency(G, S), G)
 
 
-def symplectic_standard(F: Field, r: int):
-    """Block form ((0, I), (-I, 0)) on F^(2r)."""
-    d = 2 * r
-    B = [[0] * d for _ in range(d)]
-    for i in range(r):
-        B[i][r + i] = 1
-        B[r + i][i] = F.neg(1)
-    return B
-
-
-def _symplectic_form(F: Field, r: int, B):
-    """B as 2r lists of 2r ints, checked to be an alternating
-    nondegenerate form on F^(2r); the standard form when B is None.
-    Every check runs before anything of size q^(2r+1) is allocated."""
-    if not isinstance(r, (int, np.integer)) or r < 0:
-        raise RdsError(f"r = {r!r} is not a non-negative int")
-    d = 2 * r
-    if B is None:
-        return symplectic_standard(F, r)
-    try:
-        B = [list(row) for row in B]
-    except TypeError:
-        raise RdsError(f"form must be a {d} x {d} matrix") from None
-    if len(B) != d or any(len(row) != d for row in B):
-        raise RdsError(f"form must be {d} x {d} for r = {r}, but its row "
-                       f"lengths are {[len(row) for row in B]}")
-    for i, j in itertools.product(range(d), repeat=2):
-        x = B[i][j]
-        if not isinstance(x, (int, np.integer)) or not 0 <= x < F.q:
-            raise RdsError(f"form entry {x!r} at ({i}, {j}) is not an "
-                           f"element 0..{F.q - 1} of GF({F.q})")
-        B[i][j] = int(x)
-    for i, j in itertools.product(range(d), repeat=2):
-        if B[i][j] != F.neg(B[j][i]) or (i == j and B[i][i]):
-            raise RdsError(f"form is not alternating at ({i}, {j})")
-    # nondegeneracy: row reduce over F
-    M = [row[:] for row in B]
-    rank = 0
-    for col in range(d):
-        piv = next((r for r in range(rank, d) if M[r][col] != 0), None)
-        if piv is None:
-            continue
-        M[rank], M[piv] = M[piv], M[rank]
-        inv = F.inv(M[rank][col])
-        M[rank] = [F.mul(inv, x) for x in M[rank]]
-        for r2 in range(d):
-            if r2 != rank and M[r2][col] != 0:
-                c = M[r2][col]
-                M[r2] = [F.sub(x, F.mul(c, y))
-                         for x, y in zip(M[r2], M[rank])]
-        rank += 1
-    if rank != d:
-        raise RdsError("form is degenerate")
-    return B
-
-
-def thas_somma(F: Field, r: int, B=None):
+def thas_somma(F: Field, r: int):
     """Cover graph on F^(2r+1): (a, alpha) ~ (b, beta) iff
-    B(a, b) = alpha - beta and a != b, for an alternating nondegenerate
-    form B (the standard one by default).  Returns (adjacency, G_B).
+    B(a, b) = alpha - beta and a != b, for the standard symplectic form
+    B(a, c) = sum_i a_i c_(r+i) - a_(r+i) c_i.  Returns (adjacency, G_B).
 
     G_B is F^(2r+1) under (a, alpha)(c, gamma) = (a + c, alpha + gamma
-    + B(a, c)), a group for any bilinear B, and G_B.elements, the pairs
-    ((a_1, ..., a_2r), alpha) in grid order, are the vertices.  The
-    graph is Cay(G_B, {(b, 0) : b != 0}): (b, 0)(a, alpha) is
+    + B(a, c)), and G_B.elements, the pairs ((a_1, ..., a_2r), alpha)
+    in grid order, are the vertices.  The graph is
+    Cay(G_B, {(b, 0) : b != 0}): (b, 0)(a, alpha) is
     (a + b, alpha + B(b, a)), and B(a, a + b) = B(a, b) = -B(b, a)
-    since B is alternating.
+    since B is alternating.  Every nondegenerate alternating form is
+    congruent to B, so every choice gives an isomorphic graph.
     """
-    B = _symplectic_form(F, r, B)
+    if not is_int(r) or r < 0:
+        raise RdsError(f"r = {r!r} is not a non-negative int")
     d, q = 2 * r, F.q
     _check_budget(q ** (d + 1))
     vecs = itertools.product(F.elements(), repeat=d)
     els = [(a, alpha) for a in vecs for alpha in F.elements()]
-    terms = [(i, j, b) for i, row in enumerate(B)
-             for j, b in enumerate(row) if b]
 
     def mul(g, h):
         z = F.add(g[d], h[d])
-        for i, j, b in terms:  # + B(a, c)
-            z = F.add(z, F.mul(F.mul(g[i], b), h[j]))
+        for i in range(r):  # + B(a, c)
+            z = F.add(z, F.sub(F.mul(g[i], h[r + i]), F.mul(g[r + i], h[i])))
         return [F.add(x, y) for x, y in zip(g[:d], h[:d])] + [z]
 
     G = FiniteGroup.from_elements(els, mul, name=f"G_B({q},{r})")

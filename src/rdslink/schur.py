@@ -5,13 +5,11 @@ amorphic partitions over elementary abelian groups of square order."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
-from .ff import Field
-from .groups import (FiniteGroup, Automorphism, _check_budget, is_int,
-                     orbits)
+from .ff import Field, is_int, require_ints
+from .groups import FiniteGroup, Automorphism, _check_budget, orbits
 from .groupring import GroupRingElement, class_values
 
 
@@ -78,19 +76,10 @@ class SchurPartition:
                 "classes": [list(c) for c in self.classes]}
 
 
-@dataclass
-class StructureConstants:
-    partition: SchurPartition
-    tensor: np.ndarray  # c[X][Y][Z]
-
-    def __getitem__(self, key):
-        return int(self.tensor[key])
-
-
-def verify_sring(P: SchurPartition) -> StructureConstants:
+def verify_sring(P: SchurPartition) -> np.ndarray:
     """Check that span{X_ : X in classes} is closed under the group-ring
-    product; return the full structure-constant tensor, or raise with
-    the first violating (X, Y, z1, z2)."""
+    product; return the full int64 structure-constant tensor c[X][Y][Z],
+    or raise with the first violating (X, Y, z1, z2)."""
     G = P.group
     r = P.rank
     tensor = np.zeros((r, r, r), dtype=np.int64)
@@ -116,7 +105,7 @@ def verify_sring(P: SchurPartition) -> StructureConstants:
                     f"{int(counts.max())} (elements {c[0]},{bad})")
             tensor[i, j] = values
             tensor[star[j], star[i], star] = values
-    return StructureConstants(P, tensor)
+    return tensor
 
 
 def cyclotomic(G: FiniteGroup, gens) -> SchurPartition:
@@ -175,6 +164,7 @@ def amorphic_latin(F: Field, t: int, labeling=None):
     is re-verified as an S-ring, and its structure constants against
     the two-case product relation, before it is returned.
     """
+    require_ints(SRingError, t=t)
     n = F.q
     if t < 1 or n % t != 0:
         raise SRingError(f"t = {t} does not divide n = {n}")
@@ -205,7 +195,7 @@ def amorphic_latin(F: Field, t: int, labeling=None):
     #   X_h * X_h  = k_h(n-1) e + (n - 2 k_h) X_h + k_h(k_h - 1) G^#
     #   X_h * X_h' = k_h k_h' G^# - k_h' X_h - k_h X_h'   (h != h')
     P = SchurPartition(G, [(0,)] + [sets[h] for h in range(t)])
-    c = verify_sring(P).tensor[1:, 1:]
+    c = verify_sring(P)[1:, 1:]
     k = [len(cell) for cell in labeling]
     for h, h2 in itertools.product(range(t), repeat=2):
         if h == h2:

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from rdslink import constructions
-from rdslink.ff import field_make
-from rdslink.groups import center, is_transversal
+from rdslink.ff import FieldError, field_make
+from rdslink.groups import (GroupError, center, cyclic, elementary_abelian,
+                            heisenberg, is_transversal)
 from rdslink.linked import LinkedError, verify_linked
 from rdslink.constructions import (ConstructionError, dps_system,
                                    extraspecial_rds, heisenberg_system,
                                    heisenberg_system_2r, q8_system,
                                    q8_system_2r, theorem_1_2_rds)
-from rdslink.schur import SRingError
+from rdslink.schur import SRingError, amorphic_latin
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +54,7 @@ def test_heisenberg_chi_psi(heis5):
     F, c = heis5.field, heis5.certificate
     delta = heis5.delta
     for a in F.elements():
-        assert c.chi[a] == F.neg(a)
+        assert c.chi[a] == F.sub(0, a)
         for b in F.elements():
             if F.add(a, b) == 0:
                 continue
@@ -270,6 +271,33 @@ def test_dps_bad_parameters():
         dps_system(field_make(2, 2), 4, s=2)  # s - 1 < 2
     with pytest.raises(ConstructionError):
         dps_system(field_make(5), 5, s=3)  # s not a power of p
+
+
+@pytest.mark.parametrize("build, error, witness", [
+    (lambda: q8_system_2r(True), ConstructionError, "r = True"),
+    (lambda: theorem_1_2_rds(3, True), ConstructionError, "r = True"),
+    (lambda: cyclic(True), GroupError, "n = True"),
+    (lambda: q8_system_2r(2.0), ConstructionError, "r = 2.0"),
+    (lambda: heisenberg_system_2r(field_make(3), 2.0), ConstructionError,
+     "r = 2.0"),
+    (lambda: theorem_1_2_rds(3, 2.0), ConstructionError, "r = 2.0"),
+    (lambda: extraspecial_rds(3.0), ConstructionError, "p = 3.0"),
+    (lambda: cyclic(2.5), GroupError, "n = 2.5"),
+    (lambda: elementary_abelian(2, 1.5), GroupError, "k = 1.5"),
+    (lambda: field_make(3, 2.0), FieldError, "r = 2.0"),
+    (lambda: field_make(3.0), FieldError, "p = 3.0"),
+    (lambda: heisenberg(field_make(3), 1.5), GroupError, "r = 1.5"),
+    (lambda: amorphic_latin(field_make(2, 2), 2.0), SRingError, "t = 2.0"),
+    (lambda: dps_system(field_make(2, 2), 2.0), ConstructionError,
+     "t = 2.0")],
+    ids=["q8-2r-True", "thm12-True", "cyclic-True", "q8-2r-2.0",
+         "heis-2r-2.0", "thm12-2.0", "extraspecial-3.0", "cyclic-2.5",
+         "elementary-1.5", "field-r-2.0", "field-p-3.0", "heisenberg-1.5",
+         "amorphic-2.0", "dps-2.0"])
+def test_size_arguments_must_be_ints(build, error, witness):
+    # a bool is not taken as 1, and a float is refused by name
+    with pytest.raises(error, match=f"^{re.escape(witness)} is not an int$"):
+        build()
 
 
 # ---------------------------------------------------------------------------

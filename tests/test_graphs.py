@@ -212,18 +212,16 @@ def test_thas_somma_matches_definition():
     assert not adj.any()
 
 
-def test_thas_somma_matches_a_nonstandard_form():
-    # GF(5), r = 2: alternating, and its Pfaffian
-    # b01 b23 - b02 b13 + b03 b12 = 2 - 2 + 12 is nonzero mod 5
-    B = [[0, 1, 2, 3], [4, 0, 4, 1], [3, 1, 0, 2], [2, 4, 3, 0]]
-    adj, G = thas_somma(field_make(5), 2, B)
+def test_thas_somma_matches_the_standard_form_at_r2():
+    # GF(5), r = 2: B(a, b) = a0 b2 + a1 b3 - a2 b0 - a3 b1
+    B = np.array([[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]])
+    adj, G = thas_somma(field_make(5), 2)
     verts = np.array([a + (alpha,) for a, alpha in G.elements])
     assert np.array_equal(verts, np.indices((5,) * 5).reshape(5, -1).T)
     a, alpha = verts[:, :4], verts[:, 4]
     index = np.arange(G.order) // 5  # the index of a, in grid order
-    want = ((a @ np.array(B) @ a.T - alpha[:, None] + alpha) % 5 == 0) & \
+    want = ((a @ B @ a.T - alpha[:, None] + alpha) % 5 == 0) & \
         (index[:, None] != index)
     assert np.array_equal(adj, want)
-    # every such form is equivalent to the standard one
     arr, _ = certify_drg3(adj, G)
     assert arr.as_tuple() == (624, 500, 1, 1, 125, 624)

@@ -533,6 +533,31 @@ def test_subgroup_validation():
         Subgroup(G, (0, 2, 3))
 
 
+@pytest.mark.parametrize("make, members, witness", [
+    # e plus the zero set of X X^-1 for X = {0, 1}
+    (lambda: cyclic(4096), (0,) + tuple(range(2, 4095)), (2, 4093)),
+    # C2^12 lists its bits high to low, so 0..1023 is a subgroup: its
+    # 1024 rows close, and the first open product is in a later block
+    (lambda: elementary_abelian(2, 12), tuple(range(3072)), (1024, 2048))],
+    ids=["C4096", "C2^12"])
+def test_subgroup_rejects_a_large_open_set_in_blocks(make, members, witness):
+    G = make()
+    tracemalloc.start()
+    try:
+        with pytest.raises(GroupError, match=re.escape(
+                f"subgroup not closed at ({witness[0]},{witness[1]})")):
+            Subgroup(G, members)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # every product at once gathered 2 |H|^2 bytes, about one table
+    assert peak < G.table.nbytes // 32
+    # the witness is the first product outside the set, row-major
+    m = np.array(members)
+    a, b = np.argwhere(~np.isin(G.table[np.ix_(m, m)], m))[0]
+    assert (m[a], m[b]) == witness
+
+
 @pytest.mark.parametrize("member", [1.5, "2", None, True, (0,)])
 def test_subgroup_rejects_a_member_that_is_no_index(member):
     with pytest.raises(GroupError, match=re.escape(

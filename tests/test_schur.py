@@ -59,11 +59,12 @@ def test_entries_are_checked_before_they_are_sorted(build, witness):
 def test_verify_sring_cyclic():
     G = cyclic(5)
     P = SchurPartition(G, [(0,), (1, 4), (2, 3)])
-    sc = verify_sring(P)
+    tensor = verify_sring(P)
+    assert tensor.shape == (3, 3, 3) and tensor.dtype == np.int64
     # X = {1,4}: X*X = 2e + {2,3}
-    assert sc[1, 1, 0] == 2
-    assert sc[1, 1, 2] == 1
-    assert sc[1, 1, 1] == 0
+    assert tensor[1, 1, 0] == 2
+    assert tensor[1, 1, 2] == 1
+    assert tensor[1, 1, 1] == 0
 
 
 def test_verify_sring_rejects_nonclosed():
@@ -87,11 +88,12 @@ def test_structure_constant_counting_identity():
     # sum_Z c_XY^Z |Z| = |X| |Y|
     G = cyclic(5)
     P = cyclotomic(G, [automorphism_from_images(G, {1: 4})])
-    sc = verify_sring(P)
+    tensor = verify_sring(P)
     sizes = P.class_sizes()
     for i in range(P.rank):
         for j in range(P.rank):
-            total = sum(int(sc[i, j, k]) * sizes[k] for k in range(P.rank))
+            total = sum(int(tensor[i, j, k]) * sizes[k]
+                        for k in range(P.rank))
             assert total == sizes[i] * sizes[j]
 
 
@@ -119,7 +121,7 @@ def test_amorphic_latin_sizes_and_relations():
     assert len(sets[1]) == 2 * 3
     # k = (3, 2): X_0^2 = 9e + 4X_0 + 6X_1, X_0 X_1 = 4X_0 + 3X_1 and
     # X_1^2 = 6e + 2X_0 + 2X_1, by the two-case relation
-    tensor = verify_sring(_amorphic_partition(G, sets)).tensor
+    tensor = verify_sring(_amorphic_partition(G, sets))
     assert tensor[1:, 1:].tolist() == [[[9, 4, 6], [0, 4, 3]],
                                        [[0, 4, 3], [6, 2, 2]]]
 
@@ -128,9 +130,9 @@ def test_amorphic_latin_rejects_a_tensor_off_the_relation(monkeypatch):
     # every labeling satisfies the relation, so a wrong structure
     # constant is planted where amorphic_latin reads them
     def planted(P):
-        sc = verify_sring(P)
-        sc.tensor[2, 1, 0] += 1
-        return sc
+        tensor = verify_sring(P)
+        tensor[2, 1, 0] += 1
+        return tensor
 
     monkeypatch.setattr(schur, "verify_sring", planted)
     with pytest.raises(SRingError, match=r"relation fails at pair \(1, 0\)"):
@@ -202,4 +204,4 @@ def test_verify_sring_agrees_with_all_pairs(request, name):
         P = request.getfixturevalue(name).partition
         star = P.class_of[P.group.inv[[c[0] for c in P.classes]]]
         assert (star != np.arange(P.rank)).any()
-    assert np.array_equal(verify_sring(P).tensor, _tensor_by_all_pairs(P))
+    assert np.array_equal(verify_sring(P), _tensor_by_all_pairs(P))
