@@ -19,9 +19,8 @@ import numpy as np
 
 from . import constructions as cons
 from . import groups
-from .ff import field_make, is_prime
-from .groups import (FiniteGroup, GroupError, Subgroup,
-                     check_integer_cells)
+from .ff import field_make, integers, is_prime
+from .groups import FiniteGroup, GroupError, Subgroup
 from .linked import associated_group, munu_by_sign, verify_linked
 from .rds import cayley_adjacency, dev, verify_pds, verify_rds
 from .schur import SchurPartition, verify_sring
@@ -408,13 +407,8 @@ def _load_group(path, spec) -> FiniteGroup:
     if n != v * v:
         raise GroupError(f"{path}: order {v} needs {v * v} table entries, "
                          f"found {n}; position {min(n, v * v)} is wrong")
-    if isinstance(flat, list):  # not read as nonnegative integers
-        check_integer_cells(flat, (v, v))
-        try:
-            flat = np.asarray(flat, dtype=np.int64)
-        except OverflowError:
-            raise GroupError(f"{path}: table entries out of range") from None
-    # FiniteGroup range-checks the entries before it narrows them
+    # a list is json's own values; FiniteGroup range-checks the entries
+    flat = integers(flat, GroupError, f"{path}: table entry")
     return FiniteGroup(flat.reshape(v, v), labels=labels,
                        name=spec.get("name", "group"))
 
@@ -445,10 +439,8 @@ def _load_sets(path, data):
             s = s["indices"]
         if not isinstance(s, list):
             raise GroupError(f"{path}: set {i} is {s!r}, not a list")
-        for pos, g in enumerate(s):
-            if type(g) is not int:
-                raise GroupError(f"{path}: set {i} has {g!r} at position "
-                                 f"{pos}, not an element index")
+        # the layer that owns the set checks the range
+        integers(s, GroupError, f"{path}: set {i} member")
         sets.append(s)
     return sets
 

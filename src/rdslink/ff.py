@@ -30,6 +30,58 @@ def require_ints(error, **args):
             raise error(f"{name} = {x!r} is not an int")
 
 
+def integers(items, error, what: str) -> np.ndarray:
+    """items, a sequence or an array (a table is one sequence per row),
+    as an array of integer dtype, or of object dtype where an entry
+    needs more than 64 bits.  error names the first entry that is not
+    an integer, which numpy would otherwise truncate (0.5), read as 0 or
+    1 (a bool) or parse ('1'): "{what} {x!r} at {where} is not an
+    integer", where is "position i" in a sequence and "(i, j)" in a
+    table.  An integer array passes through uncopied."""
+    if isinstance(items, np.ndarray):
+        if items.dtype.kind in "iu":
+            return items
+        items = items.astype(object, copy=False)  # as Python scalars
+    else:
+        try:
+            items = list(items)
+        except TypeError:
+            raise error(f"{what} is {items!r}, not a sequence") from None
+    if not {int}.issuperset(map(type, items)):  # a table, or not all ints
+        items = np.array(items, dtype=object)
+        for pos, x in enumerate(items.flat):
+            if not is_int(x):
+                raise error(f"{what} {x!r} at {_where(pos, items.shape)} "
+                            f"is not an integer")
+    try:
+        return np.array(items, dtype=np.int64)
+    except OverflowError:  # an entry needs more than 64 bits
+        return np.array(items, dtype=object)
+
+
+def indices(items, n: int, error, what: str) -> np.ndarray:
+    """integers(items, error, what), each in 0..n-1; error names the
+    first that is not: "{what} {x} at {where} is not an index 0..{n-1}"."""
+    arr = integers(items, error, what)
+    if arr.size and ((arr.dtype.kind != "u" and arr.min() < 0)
+                     or arr.max() >= n):
+        # the first bad row, then the bad entry in it: no v x v mask
+        rows = arr.reshape(len(arr), -1)
+        i = int(np.argmax((rows.min(axis=1) < 0) | (rows.max(axis=1) >= n)))
+        j = int(np.argmax((rows[i] < 0) | (rows[i] >= n)))
+        pos = i * rows.shape[1] + j
+        raise error(f"{what} {int(rows[i, j])} at {_where(pos, arr.shape)} "
+                    f"is not an index 0..{n - 1}")
+    return arr
+
+
+def _where(pos: int, shape: tuple) -> str:
+    """Row-major position pos in an array of shape, as messages name it."""
+    if len(shape) == 1:
+        return f"position {pos}"
+    return str(tuple(int(i) for i in np.unravel_index(pos, shape)))
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ff import is_int
+from .ff import indices, integers, is_int
 from .groups import FiniteGroup
 
 # A product is computed only when max|a|, max|b| and |a|_1 * max|b| are all
@@ -36,7 +36,7 @@ class GroupRingElement:
     def __init__(self, group: FiniteGroup, vec):
         """vec holds one integer coefficient per element of group, each
         within int64; GroupRingError names the first entry that is not."""
-        vec = _integers(vec)
+        vec = integers(vec, GroupRingError, "entry")
         if vec.shape != (group.order,):
             raise GroupRingError("coefficient vector length must equal |G|")
         if vec.dtype.kind == "O" or vec.dtype == np.uint64:
@@ -52,12 +52,9 @@ class GroupRingElement:
         """The 0/1 element supported on subset, an iterable or an integer
         array of indices; GroupRingError names the first entry that is not
         an integer or not in range."""
-        idx = _integers(subset).ravel()
-        bad = np.flatnonzero((idx < 0) | (idx >= group.order))
-        if bad.size:
-            raise GroupRingError(f"index {idx[bad[0]]} out of range")
+        idx = indices(subset, group.order, GroupRingError, "entry")
         vec = np.zeros(group.order, dtype=np.int64)
-        vec[idx.astype(np.int64)] = 1
+        vec[idx] = 1
         return cls(group, vec)
 
     def _check(self, other):
@@ -140,25 +137,6 @@ class GroupRingElement:
 
     def __repr__(self):
         return f"GroupRingElement({self.group.name}, {self.vec.tolist()})"
-
-
-def _integers(items):
-    """items, an iterable or an array, as an array of integer dtype, or
-    of object dtype when an entry does not fit in 64 bits; GroupRingError
-    names the first entry that is not an integer, which numpy would
-    otherwise truncate (0.5), read as 0 or 1 (a bool) or parse ('1')."""
-    items = items if isinstance(items, np.ndarray) else list(items)
-    arr = np.asarray(items)
-    # numpy reads a bool among integers as 0 or 1
-    has_bool = isinstance(items, list) and not {
-        bool, np.bool_}.isdisjoint(map(type, items))
-    if has_bool or arr.dtype.kind not in "iu":
-        arr = np.asarray(items, dtype=object)
-        for pos, x in enumerate(arr.ravel()):
-            if not is_int(x):
-                raise GroupRingError(
-                    f"entry {x!r} at position {pos} is not an integer")
-    return arr
 
 
 def _max_abs(vec) -> int:

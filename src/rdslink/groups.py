@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ff import Field, is_int, is_prime, require_ints
+from .ff import Field, indices, integers, is_prime, require_ints
 
 # the largest table a constructor will build: 2 bytes an entry, so
 # v <= 32,768, and every entry v - 1 fits in uint16
@@ -185,32 +185,15 @@ def _audit_table(table: np.ndarray) -> list:
     return gens
 
 
-def check_integer_cells(cells: list, shape: tuple):
-    """Raise GroupError naming the first of cells (a table's entries,
-    row-major over shape) that is not an integer; a bool is not one."""
-    if {int}.issuperset(map(type, cells)):
-        return
-    for pos, x in enumerate(cells):
-        if not is_int(x):
-            at = tuple(int(i) for i in np.unravel_index(pos, shape))
-            raise GroupError(f"table entry {x!r} at {at} is not an integer")
-
-
 def _integer_table(table) -> np.ndarray:
     """table as a square uint16 array: within the byte budget and
     range-checked before it is narrowed, so no entry can wrap;
-    GroupError names the first entry that is not an integer."""
-    arr = np.asarray(table)
-    if arr.dtype.kind not in "iu" or not isinstance(table, np.ndarray):
-        # numpy reads a True among a list's ints as 1: check each cell
-        cells = np.asarray(table, dtype=object)
-        check_integer_cells(cells.reshape(-1).tolist(), cells.shape)
+    GroupError names the first entry that is not an integer index."""
+    arr = integers(table, GroupError, "table entry")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not arr.size:
         raise GroupError("multiplication table must be square")
     _check_budget(len(arr))
-    # an int too large for int64 leaves an object array of Python ints
-    if (arr.dtype.kind != "u" and arr.min() < 0) or arr.max() >= len(arr):
-        raise GroupError("table entries out of range")
+    indices(arr, len(arr), GroupError, "table entry")
     # C order: GroupRingElement.__mul__ gathers from the raveled table
     return np.ascontiguousarray(arr, dtype=np.uint16)
 
@@ -317,24 +300,15 @@ class Subgroup:
 
     def __post_init__(self):
         v = self.group.order
-        for g in self.members:  # before sorting, which needs numbers
-            if not is_int(g):
-                raise GroupError(f"subgroup member {g!r} is not an "
-                                 f"element index 0..{v - 1}")
-        mem = tuple(sorted(set(self.members)))
-        object.__setattr__(self, "members", mem)
-        outside = [g for g in mem if not 0 <= g < v]
-        if outside:
-            raise GroupError(f"subgroup member {outside[0]} is not an "
-                             f"element index 0..{v - 1}")
-        if 0 not in mem:
+        inside = np.zeros(v, dtype=bool)
+        inside[indices(self.members, v, GroupError, "subgroup member")] = True
+        m = np.flatnonzero(inside)
+        object.__setattr__(self, "members", tuple(m.tolist()))
+        if not inside[0]:
             raise GroupError("subgroup must contain the identity")
         # a product-closed subset of a finite group holding e is a
         # subgroup; rows of at most _CELLS products at a time, so a large
         # subset that is not closed is rejected at its first open block
-        m = np.asarray(mem)
-        inside = np.zeros(v, dtype=bool)
-        inside[m] = True
         step = max(1, _CELLS // m.size)
         for s in range(0, m.size, step):
             open_at = np.argwhere(
@@ -372,9 +346,9 @@ class Automorphism:
     perm: tuple  # perm[g] = image of g
 
     def __post_init__(self):
-        perm = np.asarray(self.perm)
         v = self.group.order
-        if perm.dtype.kind not in "iu" or perm.shape != (v,) or \
+        perm = indices(self.perm, v, GroupError, "automorphism image")
+        if perm.shape != (v,) or \
                 not np.array_equal(np.sort(perm), np.arange(v)):
             raise GroupError("automorphism must be a permutation of G")
         perm = perm.astype(np.int64, copy=False)
@@ -412,6 +386,8 @@ def elementary_abelian(p: int, k: int) -> FiniteGroup:
     require_ints(GroupError, p=p, k=k)
     if not is_prime(p):
         raise GroupError(f"{p} is not prime")
+    if k < 0:
+        raise GroupError(f"k = {k} is negative")
     _check_budget(p ** k)
     els = list(itertools.product(range(p), repeat=k))
     return FiniteGroup.from_elements(
@@ -450,6 +426,8 @@ def heisenberg(F: Field, r: int = 1) -> FiniteGroup:
     (x,y,z)(a,b,c) = (x+a, y+b, z+c+<x,b>).
     """
     require_ints(GroupError, r=r)
+    if r < 0:
+        raise GroupError(f"r = {r} is negative")
     if F.q % 2 == 0:
         raise GroupError("q must be odd")
     q = F.q
@@ -537,7 +515,8 @@ def automorphism_from_images(G: FiniteGroup, images: dict) -> Automorphism:
     generate G and the images must respect every relation (verified on
     G.gens by the Automorphism audit).  Along the tree of a walk over
     y = p g_k (_walk), phi(y) = phi(p) phi(g_k), each parent first."""
-    gens, targets = list(images), np.asarray(list(images.values()))
+    gens = indices(images, G.order, GroupError, "generator")
+    targets = indices(images.values(), G.order, GroupError, "image")
     reached, tree = np.arange(G.order) == 0, []
     _walk(G.table[:, gens].T, reached, tree)
     if not reached.all():
@@ -592,7 +571,11 @@ class CentralProduct:
 
 
 def _check_iso(Z1: Subgroup, Z2: Subgroup, theta: dict):
-    if set(theta) != set(Z1.members) or set(theta.values()) != set(Z2.members):
+    keys = indices(theta, Z1.group.order, GroupError, "theta key")
+    values = indices(theta.values(), Z2.group.order, GroupError,
+                     "theta value")
+    if set(keys.tolist()) != set(Z1.members) or \
+            set(values.tolist()) != set(Z2.members):
         raise GroupError("theta is not a bijection Z1 -> Z2")
     t1, t2 = Z1.group.table, Z2.group.table
     for a in Z1.members:

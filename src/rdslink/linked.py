@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ff import is_int, is_prime
+from .ff import indices, is_prime
 from .groups import CentralProduct, FiniteGroup, Subgroup, Automorphism
 from .groupring import GroupRingElement
 from .rds import product_sets, verify_rds
@@ -205,25 +205,22 @@ class AssociatedGroup:
 
 def _abelian_invariant_factors(G: FiniteGroup):
     """Invariant factors n_1, n_2, ... (each dividing the one before) of
-    an abelian group: the divisor chain of |G| whose product of
-    gcd(d, n_i) counts #{g : g^d = e} for every divisor d of |G|."""
+    an abelian group, read off its element orders: for a prime p,
+    #{g : g^(p^i) = e} = p^(c_i), and c_i - c_(i-1) of its cyclic
+    p-factors have order p^i or more, so each of the first c_i - c_(i-1)
+    invariant factors takes one more p."""
     v = G.order
     orders = np.array(G.element_orders())
-    divisors = [d for d in range(1, v + 1) if v % d == 0]
-    counts = [int((d % orders == 0).sum()) for d in divisors]
-
-    def chains(rest, top):  # factors > 1 with product rest, each | top
-        if rest == 1:
-            yield ()
-        for n in divisors[1:]:
-            if rest % n == 0 and top % n == 0:
-                yield from ((n,) + c for c in chains(rest // n, n))
-
-    for chain in chains(v, v):
-        if counts == [math.prod(math.gcd(d, n) for n in chain)
-                      for d in divisors]:
-            return chain
-    raise LinkedError("element order counts match no abelian group")
+    factors = []
+    for p in [p for p in range(2, v + 1) if v % p == 0 and is_prime(p)]:
+        count, q = 1, p  # count = #{g : g^(q/p) = e}
+        while (more := int(np.count_nonzero(q % orders == 0))) > count:
+            at_least = round(math.log(more // count, p))
+            factors += [1] * (at_least - len(factors))
+            for j in range(at_least):
+                factors[j] *= p
+            count, q = more, q * p
+    return tuple(factors)
 
 
 def associated_group(s: int, chi, psi) -> AssociatedGroup:
@@ -232,26 +229,20 @@ def associated_group(s: int, chi, psi) -> AssociatedGroup:
     Raises if the extended table fails the group axioms, which signals
     that (chi, psi) did not come from a genuine closed linked system.
     """
-    def index(x, what):
-        if not is_int(x) or not 0 <= x < s:
-            raise LinkedError(f"{what} = {x!r} is not an index 0..{s - 1}")
-        return int(x)
-
-    chi = tuple(index(c, f"chi[{a}]") for a, c in enumerate(chi))
+    chi = indices(chi, s, LinkedError, "chi")
     if len(chi) != s or any(chi[chi[a]] != a for a in range(s)):
         raise LinkedError("chi must be an involution of S")
-    pairs = [(a, b) for a, b in itertools.product(range(s), repeat=2)
-             if b != chi[a]]
-    for a, b in pairs:
-        if (a, b) not in psi:
+    for a, b in itertools.product(range(s), repeat=2):
+        if b != chi[a] and (a, b) not in psi:
             raise LinkedError(f"psi undefined off the diagonal at ({a},{b})")
     # infinity has index 0 and a in S index a + 1; a chi(a) = infinity
     v = s + 1
     table = np.zeros((v, v), dtype=np.int64)
     table[0] = table[:, 0] = np.arange(v)
-    if pairs:
-        rows, cols = np.array(pairs).T + 1
-        table[rows, cols] = [index(psi[ab], f"psi{ab}") + 1 for ab in pairs]
+    table[1:, 1:] = indices(
+        [[psi[a, b] if b != chi[a] else 0 for b in range(s)]
+         for a in range(s)], s, LinkedError, "psi") + 1
+    table[np.arange(1, v), chi + 1] = 0
     try:
         G = FiniteGroup(table, name=f"S^inf({s})")
     except Exception as exc:
@@ -300,11 +291,8 @@ def linked_product(cp: CentralProduct, L1: LinkedCertificate,
     else:
         if not isinstance(f, dict):
             raise LinkedError(f"f = {f!r} is not a dict from S to S")
-        for a, b in f.items():
-            if not (is_int(a) and is_int(b)):
-                raise LinkedError(f"f maps {a!r} to {b!r}; both must be "
-                                  f"int indices 0..{s - 1}")
-        f = {int(a): int(b) for a, b in f.items()}
+        f = dict(zip(indices(f, s, LinkedError, "f key").tolist(),
+                     indices(f.values(), s, LinkedError, "f value").tolist()))
         if set(f) != set(range(s)) or set(f.values()) != set(range(s)):
             raise LinkedError("f must permute S (and fix infinity)")
         # f must extend to an automorphism of the associated group, where

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ff import Field, is_int
+from .ff import Field, indices, is_int
 from .groups import (CentralProduct, FiniteGroup, GroupError, Subgroup,
                      _check_budget, is_transversal)
 from .groupring import GroupRingElement, class_values
@@ -138,8 +138,9 @@ def verify_rds(G: FiniteGroup, X, N: Subgroup | None = None) -> RdsCertificate:
     x = GroupRingElement.indicator(G, X)
     X = x.support()
     k = len(X)
-    if N is not None and N.group is not G:
-        raise RdsError("forbidden subgroup belongs to a different group")
+    if N is not None and not (isinstance(N, Subgroup) and N.group is G):
+        raise RdsError(f"forbidden subgroup is a {type(N).__name__}, not "
+                       f"a Subgroup of {G.name}")
     xx = x * x.involution()
     d = xx.vec.copy()
     if N is None:
@@ -421,5 +422,6 @@ def thas_somma(F: Field, r: int):
 
 def dev(G: FiniteGroup, X):
     """Development {Xg : g in G}, distinct blocks only."""
-    blocks = np.unique(np.sort(G.table[list(X)].T, axis=1), axis=0)
+    X = indices(X, G.order, RdsError, "base block member")
+    blocks = np.unique(np.sort(G.table[X].T, axis=1), axis=0)
     return list(map(tuple, blocks.tolist()))

@@ -8,7 +8,7 @@ import itertools
 
 import numpy as np
 
-from .ff import Field, is_int, require_ints
+from .ff import Field, indices, require_ints
 from .groups import FiniteGroup, Automorphism, _check_budget, orbits
 from .groupring import GroupRingElement, class_values
 
@@ -17,28 +17,17 @@ class SRingError(ValueError):
     pass
 
 
-def _entries(c, name: str) -> tuple:
-    """The entries of c, named name in the SRingError raised when c is
-    not a sequence."""
-    try:
-        return tuple(c)
-    except TypeError:
-        raise SRingError(f"{name} is {c!r}, not a sequence") from None
-
-
 class SchurPartition:
     """A partition of G into basic sets with {e} a class and classes
     closed under inversion."""
 
     def __init__(self, group: FiniteGroup, classes):
         v = group.order
-        classes = [_entries(c, f"class {i}") for i, c in enumerate(classes)]
-        for i, c in enumerate(classes):  # before sorting, which needs ints
-            for g in c:
-                if not is_int(g) or not 0 <= g < v:
-                    raise SRingError(f"class {i} has member {g!r}, not an "
-                                     f"element index 0..{v - 1}")
-        classes = [tuple(sorted(set(c))) for c in classes]
+        if not isinstance(classes, (list, tuple)):
+            raise SRingError(f"classes is {classes!r}, not a sequence")
+        classes = [tuple(sorted(set(indices(
+            c, v, SRingError, f"class {i} member").tolist())))
+            for i, c in enumerate(classes)]
         empty = [i for i, c in enumerate(classes) if not c]
         if empty:
             raise SRingError(f"class {empty[0]} is empty")
@@ -174,11 +163,9 @@ def amorphic_latin(F: Field, t: int, labeling=None):
         labeling = default_labeling(n, t)
     if len(labeling) != t:
         raise SRingError("labeling must have t cells")
-    labeling = [_entries(c, f"labeling cell {h}")
+    labeling = [indices(c, n + 1, SRingError,
+                        f"labeling cell {h} line").tolist()
                 for h, c in enumerate(labeling)]
-    for i in itertools.chain(*labeling):  # before sorting, which needs ints
-        if not is_int(i):
-            raise SRingError(f"labeling entry {i!r} is not a line 0..{n}")
     if sorted(len(c) for c in labeling[1:]) != [n // t] * (t - 1) or \
             len(labeling[0]) != n // t + 1:
         raise SRingError("labeling cells must have sizes n/t + 1, n/t, ...")

@@ -4,7 +4,8 @@ src/rdslink outside its own definition, the benchmark in perfbench/, or
 the public names in rdslink.__all__.  A helper only the tests call, or
 a constant that outlived its function, is dead weight.  Arithmetic on the
 entries of a uint16 Cayley table must widen them first.  The library
-uses json through its documented interface alone."""
+uses json through its documented interface alone, and checks integer
+entries through ff alone."""
 
 import ast
 from collections import Counter
@@ -213,3 +214,29 @@ def _json_internals():
 
 def test_json_is_used_through_its_documented_interface():
     assert _json_internals() == []
+
+
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+         ast.GeneratorExp)
+
+
+def _is_int_in_loops():
+    """Every is_int call outside ff.py that sits in a loop or a
+    comprehension: checking a sequence entry by entry is the job of
+    ff.integers and ff.indices, so the policy stays in one module."""
+    out = set()
+    for path in SOURCES:
+        if path.name == "ff.py":
+            continue
+        for loop in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(loop, LOOPS):
+                continue
+            for node in ast.walk(loop):
+                if isinstance(node, ast.Call) and ast.unparse(
+                        node.func).rsplit(".", 1)[-1] == "is_int":
+                    out.add(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    return sorted(out)
+
+
+def test_entries_are_checked_by_ff_alone():
+    assert _is_int_in_loops() == []

@@ -139,7 +139,7 @@ def test_verify_sring_rejects_member_out_of_range(tmp_path):
     assert run(["verify", "sring", "--group", str(group), "--sets",
                 str(classes), "--out", str(report)]) == 1
     assert load(report)["error"] == (
-        "SRingError: class 2 has member 4, not an element index 0..3")
+        "SRingError: class 2 member 4 at position 2 is not an index 0..3")
 
 
 def test_export_graph_formats(tmp_path, capsys):
@@ -298,11 +298,12 @@ def test_bundle_digests(tmp_path, command):
 
 
 @pytest.mark.parametrize("group, where", [
-    ({"order": 2, "table": [0, 1, 1, 0.9]}, "at (1, 1)"),
+    ({"order": 2, "table": [0, 1, 1, 0.9]}, "0.9 at position 3"),
     ({"order": 3, "table": [0, 1, 2, 1, 2, 0, 2, 0]}, "position 8"),
     ({"table": [0, 1, 1, 0]}, "'order'"),
-    ({"order": 2, "table": [0, True, True, 0]}, "True at (0, 1)"),
-    ({"order": 2, "table": [0, 1, 1, 2 ** 70]}, "out of range"),
+    ({"order": 2, "table": [0, True, True, 0]}, "True at position 1"),
+    ({"order": 2, "table": [0, 1, 1, 2 ** 70]},
+     f"table entry {2 ** 70} at (1, 1) is not an index 0..1"),
 ])
 def test_verify_rejects_malformed_table(tmp_path, group, where):
     gfile = tmp_path / "g.json"
@@ -320,9 +321,9 @@ def test_verify_rejects_malformed_table(tmp_path, group, where):
 
 @pytest.mark.parametrize("perturb, where", [
     pytest.param(lambda X: [g + 0.4 for g in X],
-                 "set 0 has 0.4 at position 0", id="float"),
+                 "set 0 member 0.4 at position 0", id="float"),
     pytest.param(lambda X: X[:3] + [True] + X[4:],
-                 "set 0 has True at position 3", id="bool"),
+                 "set 0 member True at position 3", id="bool"),
     pytest.param(lambda X: X[:5] + [str(X[5])] + X[6:],
                  "at position 5", id="string"),
 ])
@@ -381,7 +382,8 @@ def test_verify_rejects_forbidden_out_of_range(bundles, tmp_path):
                 "--forbidden", str(forbidden), "--out", str(report)]) == 1
     r = load(report)
     assert r["ok"] is False
-    assert r["error"].startswith("GroupError: subgroup member 99 is not")
+    assert r["error"].startswith(
+        "GroupError: subgroup member 99 at position 1 is not")
 
 
 def _listed(obj):

@@ -80,7 +80,8 @@ def test_heisenberg_rejects_an_eps_outside_the_field(eps):
 def test_dps_rejects_a_labeling_entry_that_is_no_line(entry):
     # GF(4), t = 4: cells of 2, 1, 1 and 1 of the five lines
     with pytest.raises(SRingError, match=re.escape(
-            f"labeling entry {entry!r} is not a line 0..4")):
+            f"labeling cell 0 line {entry!r} at position 1 is not an "
+            f"integer")):
         dps_system(field_make(2, 2), 4, labeling=[(0, entry), (2,), (3,),
                                                   (4,)])
 
@@ -298,6 +299,19 @@ def test_size_arguments_must_be_ints(build, error, witness):
     # a bool is not taken as 1, and a float is refused by name
     with pytest.raises(error, match=f"^{re.escape(witness)} is not an int$"):
         build()
+
+
+@pytest.mark.parametrize("build, witness", [
+    (lambda: elementary_abelian(2, -1), "k = -1"),
+    (lambda: heisenberg(field_make(3), -1), "r = -1")],
+    ids=["elementary-minus-1", "heisenberg-minus-1"])
+def test_size_arguments_must_not_be_negative(build, witness):
+    with pytest.raises(GroupError,
+                       match=f"^{re.escape(witness)} is negative$"):
+        build()
+    # the least sizes are groups: C2^0 = {e} and Heis(3, 0) = GF(3)
+    assert elementary_abelian(2, 0).order == 1
+    assert heisenberg(field_make(3), 0).order == 3
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,20 @@
+import functools
 import itertools
+import re
+from typing import Callable, NamedTuple
 
 import pytest
 
+from rdslink import cli
+from rdslink.constructions import q8_system
 from rdslink.ff import (Field, FieldError, field_make, is_prime,
                         least_nonsquare, pell_solutions)
+from rdslink.groupring import GroupRingElement, GroupRingError
+from rdslink.groups import (Automorphism, FiniteGroup, GroupError, Subgroup,
+                            automorphism_from_images, central_product, cyclic)
+from rdslink.linked import LinkedError, associated_group, linked_product
+from rdslink.rds import RdsError, dev
+from rdslink.schur import SRingError, SchurPartition, amorphic_latin
 
 
 def test_is_prime():
@@ -180,3 +191,134 @@ def test_large_fields_against_sympy(p, r):
     for a, _ in pairs[:20]:
         c = power(a, into_subfield)
         assert F.mult_order(c) == order(c)
+
+
+# ---------------------------------------------------------------------------
+# integer and index inputs: one check, ff.integers / ff.indices, behind
+# every entry point that takes element indices
+
+NOT_A_SEQUENCE = 5
+
+
+@functools.cache
+def _q8_product():
+    L = q8_system()
+    return central_product(L.group, L.group, L.N, L.N), L
+
+
+def _placed(base, where, x):
+    """base with x at where: a position, a (row, column) pair, or
+    ("key", k) or ("value", k) of a dict."""
+    if isinstance(base, dict):
+        part, k = where
+        return {(x if part == "key" and a == k else a):
+                (x if part == "value" and a == k else b)
+                for a, b in base.items()}
+    out = [list(row) if isinstance(row, (list, tuple)) else row
+           for row in base]
+    if isinstance(where, tuple):
+        out[where[0]][where[1]] = x
+    else:
+        out[where] = x
+    return out
+
+
+class Entry(NamedTuple):
+    call: Callable  # the entry point, given the input
+    base: object  # a valid input
+    at: object  # where a bad entry goes in base (see _placed)
+    error: type
+    what: str  # what the message calls the entries
+    where: str | None  # where the message says the bad entry is
+    n: int | None  # the index range; None where only types are checked
+    whole: bool = True  # whether a non-sequence for base meets the check
+
+
+C4 = cyclic(4)
+Z = Subgroup(C4, (0, 2))
+
+
+def _f(f):
+    cp, L = _q8_product()
+    return linked_product(cp, L, L, f)
+
+
+ENTRY_POINTS = {
+    "GroupRingElement": Entry(lambda x: GroupRingElement(C4, x),
+                              [0, 1, 2, 3], 2, GroupRingError, "entry",
+                              "position 2", None),
+    "indicator": Entry(lambda x: GroupRingElement.indicator(C4, x),
+                       [0, 1, 2], 1, GroupRingError, "entry", "position 1",
+                       4),
+    "FiniteGroup": Entry(FiniteGroup, [[0, 1], [1, 0]], (1, 1), GroupError,
+                         "table entry", "(1, 1)", 2),
+    "Subgroup": Entry(lambda x: Subgroup(C4, x), [0, 2], 1, GroupError,
+                      "subgroup member", "position 1", 4),
+    "Automorphism": Entry(lambda x: Automorphism(C4, x), [0, 3, 2, 1], 3,
+                          GroupError, "automorphism image", "position 3", 4),
+    "images-key": Entry(lambda x: automorphism_from_images(C4, x), {1: 3},
+                        ("key", 1), GroupError, "generator", "position 0", 4),
+    "images-value": Entry(lambda x: automorphism_from_images(C4, x), {1: 3},
+                          ("value", 1), GroupError, "image", "position 0", 4,
+                          whole=False),
+    "theta-key": Entry(lambda x: central_product(C4, C4, Z, Z, x),
+                       {0: 0, 2: 2}, ("key", 2), GroupError, "theta key",
+                       "position 1", 4),
+    "theta-value": Entry(lambda x: central_product(C4, C4, Z, Z, x),
+                         {0: 0, 2: 2}, ("value", 2), GroupError,
+                         "theta value", "position 1", 4, whole=False),
+    "SchurPartition": Entry(lambda x: SchurPartition(C4, [(0,), x, (1, 3)]),
+                            [2], 0, SRingError, "class 1 member",
+                            "position 0", 4),
+    # the list of classes itself: only a non-sequence applies
+    "SchurPartition-classes": Entry(lambda x: SchurPartition(C4, x), None,
+                                    None, SRingError, "classes", None, None),
+    "amorphic_latin": Entry(
+        lambda x: amorphic_latin(field_make(2, 2), 2, [x, (3, 4)]),
+        [0, 1, 2], 2, SRingError, "labeling cell 0 line", "position 2", 5),
+    "dev": Entry(lambda x: dev(C4, x), [0, 1], 1, RdsError,
+                 "base block member", "position 1", 4),
+    "chi": Entry(lambda x: associated_group(2, x, {(0, 0): 1, (1, 1): 0}),
+                 [1, 0], 1, LinkedError, "chi", "position 1", 2),
+    "psi": Entry(lambda x: associated_group(2, (1, 0), x),
+                 {(0, 0): 1, (1, 1): 0}, ("value", (1, 1)), LinkedError,
+                 "psi", "(1, 1)", 2, whole=False),
+    # f that is not a dict has its own LinkedError (f = 5 is not a dict)
+    "f-key": Entry(_f, {0: 1, 1: 0}, ("key", 1), LinkedError, "f key",
+                   "position 1", 2, whole=False),
+    "f-value": Entry(_f, {0: 1, 1: 0}, ("value", 0), LinkedError, "f value",
+                     "position 0", 2, whole=False),
+    # the cli checks types; the layer that owns the set checks the range
+    "load-sets": Entry(lambda x: cli._load_sets("s.json", [x]), [0, 1], 1,
+                       GroupError, "s.json: set 0 member", "position 1",
+                       None, whole=False),
+    "load-group": Entry(
+        lambda x: cli._load_group("g.json", {"order": 2, "table": x}),
+        [0, 1, 1, 0], 3, GroupError, "g.json: table entry", "position 3",
+        None, whole=False),
+}
+BAD = [True, 1.5, "1", -1, "n", NOT_A_SEQUENCE]
+
+
+@pytest.mark.parametrize("name, bad", [
+    (name, bad) for name, e in ENTRY_POINTS.items() for bad in BAD
+    if (e.whole if bad is NOT_A_SEQUENCE else e.base is not None and (
+        e.n is not None or bad not in (-1, "n")))],
+    ids=lambda p: p if isinstance(p, str) else repr(p))
+def test_every_index_entry_point_rejects_bad_input(name, bad):
+    """Each entry point raises its module's typed error, naming the
+    entry and its position: at the parent, Automorphism and dev took
+    True as 1, a float key of automorphism_from_images, True in theta,
+    and Subgroup(G, 5) or SchurPartition(G, 5) raised a stray error."""
+    e = ENTRY_POINTS[name]
+    if bad is NOT_A_SEQUENCE:
+        arg, message = bad, f"{e.what} is {bad!r}, not a sequence"
+    elif bad in (-1, "n"):
+        x = -1 if bad == -1 else e.n
+        arg = _placed(e.base, e.at, x)
+        message = f"{e.what} {x} at {e.where} is not an index 0..{e.n - 1}"
+    else:
+        arg = _placed(e.base, e.at, bad)
+        message = f"{e.what} {bad!r} at {e.where} is not an integer"
+    with pytest.raises(e.error, match=f"^{re.escape(message)}$"):
+        e.call(arg)

@@ -222,9 +222,10 @@ def test_indicator_accepts_iterables_and_integer_arrays():
     (["3"], "entry '3' at position 0"),
     (np.array([1.0, 2.0]), "entry 1.0 at position 0"),
     (np.array([True]), "entry True at position 0"),
-    ([0, 6, -1], "index 6 out of range"),
-    (np.array([3, -2]), "index -2 out of range"),
-    ([2 ** 70], "index 1180591620717411303424 out of range"),
+    ([0, 6, -1], "entry 6 at position 1 is not an index 0..5"),
+    (np.array([3, -2]), "entry -2 at position 1 is not an index 0..5"),
+    ([2 ** 70], "entry 1180591620717411303424 at position 0 is not an "
+     "index 0..5"),
 ])
 def test_indicator_rejects_non_integer_or_out_of_range(subset, witness):
     with pytest.raises(GroupRingError, match=witness):

@@ -98,9 +98,9 @@ def test_associated_group_validation():
 
 
 @pytest.mark.parametrize("chi, psi, where", [
-    ((0, 5), {}, "chi[1] = 5"),
-    ((1, 0), {(0, 0): 7, (1, 1): 0}, "psi(0, 0) = 7"),
-    ((1, 0), {(0, 0): 1, (1, 1): "x"}, "psi(1, 1) = 'x'"),
+    ((0, 5), {}, "chi 5 at position 1 is not an index 0..1"),
+    ((1, 0), {(0, 0): 7, (1, 1): 0}, "psi 7 at (0, 0) is not an index 0..1"),
+    ((1, 0), {(0, 0): 1, (1, 1): "x"}, "psi 'x' at (1, 1) is not an integer"),
 ], ids=["chi-out-of-range", "psi-out-of-range", "psi-not-an-int"])
 def test_associated_group_rejects_entries_out_of_range(chi, psi, where):
     with pytest.raises(LinkedError, match=re.escape(where)):
@@ -121,6 +121,25 @@ def test_invariant_factors_of_cyclic_products_against_sympy(orders):
     P = PermutationGroup([Permutation(row) for row in G.table.tolist()])
     assert sorted(P.abelian_invariants()) == sorted(
         p ** e for f in invs for p, e in factorint(f).items())
+
+
+@pytest.mark.parametrize("orders, invs", [
+    ((2, 4), (4, 2)), ((2, 6), (6, 2)), ((3, 9), (9, 3)),
+    ((2, 2, 4), (4, 2, 2)), ((6, 10), (30, 2))],
+    ids=["C2xC4", "C2xC6", "C3xC9", "C2xC2xC4", "C6xC10"])
+def test_associated_group_of_an_abelian_table(orders, invs):
+    # S is A minus e, with a in S the element a + 1 of A: chi(a) is
+    # a's inverse and psi(a, b) the product ab, off the diagonal
+    A = cyclic(orders[0])
+    for n in orders[1:]:
+        A = direct_product(A, cyclic(n))
+    s = A.order - 1
+    chi = tuple(int(A.inv[a + 1]) - 1 for a in range(s))
+    psi = {(a, b): A.mul(a + 1, b + 1) - 1
+           for a, b in itertools.product(range(s), repeat=2) if b != chi[a]}
+    assoc = associated_group(s, chi, psi)
+    assert (assoc.kind, assoc.invariant_factors) == ("abelian", invs)
+    assert np.array_equal(assoc.group.table, A.table)
 
 
 def test_psi_commutative_gives_abelian(heis3):
@@ -182,10 +201,10 @@ def test_linked_product_over_every_f(heis3):
 
 
 @pytest.mark.parametrize("f, named", [
-    ({0: 1.5, 1: 0}, "f maps 0 to 1.5;"),
-    ({0: "1", 1: 0}, "f maps 0 to '1';"),
-    ({0: True, 1: 0}, "f maps 0 to True;"),
-    ({0.0: 1, 1: 0}, "f maps 0.0 to 1;"),
+    ({0: 1.5, 1: 0}, "f value 1.5 at position 0 is not an integer"),
+    ({0: "1", 1: 0}, "f value '1' at position 0 is not an integer"),
+    ({0: True, 1: 0}, "f value True at position 0 is not an integer"),
+    ({0.0: 1, 1: 0}, "f key 0.0 at position 0 is not an integer"),
     ([1, 0], "f = [1, 0] is not a dict"), (5, "f = 5 is not a dict")])
 def test_linked_product_rejects_a_malformed_f(q8cert, f, named):
     # int() once read 1.5 and "1" as 1, certifying the product for

@@ -8,6 +8,7 @@ from rdslink.groupring import GroupRingElement, GroupRingError
 from rdslink.groups import (Subgroup, center, central_product, cyclic,
                             direct_product, elementary_abelian,
                             extraspecial_mp3, heisenberg)
+from rdslink.linked import verify_linked
 from rdslink.rds import (EquationFails, IntersectionArray, LambdaNotPositive,
                          RdsError, WrongDiameter, cayley_adjacency,
                          certify_drg3, dev, is_icommuting,
@@ -39,6 +40,22 @@ def test_verify_rds_rejects_float_entries(heis3):
     X = [g + 0.4 for g in heis3.sets[0]]
     with pytest.raises(GroupRingError, match="not an integer"):
         verify_rds(heis3.group, X, heis3.center)
+
+
+@pytest.mark.parametrize("forbidden, named", [
+    (lambda G: (0, 2), "tuple"),
+    (lambda G: [0, 2], "list"),
+    (lambda G: Subgroup(cyclic(4), (0, 2)), "Subgroup")],
+    ids=["tuple", "list", "other-group"])
+def test_forbidden_must_be_a_subgroup_of_the_group(forbidden, named):
+    # a tuple once raised AttributeError: 'tuple' object has no 'group'
+    G = cyclic(4)
+    N = forbidden(G)
+    message = f"^forbidden subgroup is a {named}, not a Subgroup of C4$"
+    with pytest.raises(RdsError, match=message):
+        verify_rds(G, (0, 1), N)
+    with pytest.raises(RdsError, match=message):
+        verify_linked(G, N, [(0, 1), (0, 3)])
 
 
 def test_lambda_not_positive():

@@ -31,10 +31,14 @@ def test_partition_rejects_an_empty_class():
 
 
 @pytest.mark.parametrize("classes, witness", [
-    ([(0,), (2,), (1, 3, 4)], "class 2 has member 4,"),
-    ([(0,), (2.0,), (1, 3)], "class 1 has member 2.0,"),
-    ([(0,), (2,), (-1, 1)], "class 2 has member -1,"),
-    ([(0,), (2,), (True, 3)], "class 2 has member True,")])
+    ([(0,), (2,), (1, 3, 4)], "class 2 member 4 at position 2 is not an "
+     "index 0..3"),
+    ([(0,), (2.0,), (1, 3)], "class 1 member 2.0 at position 0 is not an "
+     "integer"),
+    ([(0,), (2,), (-1, 1)], "class 2 member -1 at position 0 is not an "
+     "index 0..3"),
+    ([(0,), (2,), (True, 3)], "class 2 member True at position 0 is not "
+     "an integer")])
 def test_partition_rejects_non_element_members(classes, witness):
     SchurPartition(cyclic(4), [(np.int64(0),), (np.uint8(2),), (1, 3)])
     with pytest.raises(SRingError, match=re.escape(witness)):
@@ -43,13 +47,13 @@ def test_partition_rejects_non_element_members(classes, witness):
 
 @pytest.mark.parametrize("build, witness", [
     (lambda: SchurPartition(cyclic(4), [(0,), (1, "a")]),
-     "class 1 has member 'a', not an element index 0..3"),
+     "class 1 member 'a' at position 1 is not an integer"),
     (lambda: SchurPartition(cyclic(4), [(0,), (1, None), (2, 3)]),
-     "class 1 has member None, not an element index 0..3"),
+     "class 1 member None at position 1 is not an integer"),
     (lambda: SchurPartition(cyclic(4), [(0,), 5]),
-     "class 1 is 5, not a sequence"),
+     "class 1 member is 5, not a sequence"),
     (lambda: amorphic_latin(field_make(2, 2), 2, [(0, 1, 2), 3]),
-     "labeling cell 1 is 3, not a sequence")],
+     "labeling cell 1 line is 3, not a sequence")],
     ids=["string-member", "none-member", "int-class", "int-cell"])
 def test_entries_are_checked_before_they_are_sorted(build, witness):
     with pytest.raises(SRingError, match=f"^{re.escape(witness)}$"):
@@ -158,7 +162,8 @@ def test_perturbed_labeling_rejected():
 @pytest.mark.parametrize("entry", ["a", 2.0, None, True])
 def test_amorphic_latin_rejects_a_labeling_entry_that_is_no_line(entry):
     with pytest.raises(SRingError, match=re.escape(
-            f"labeling entry {entry!r} is not a line 0..4")):
+            f"labeling cell 0 line {entry!r} at position 2 is not an "
+            f"integer")):
         amorphic_latin(field_make(2, 2), 2, [(0, 1, entry), (3, 4)])
 
 
