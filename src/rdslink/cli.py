@@ -407,9 +407,12 @@ def _load_group(path, spec) -> FiniteGroup:
     if n != v * v:
         raise GroupError(f"{path}: order {v} needs {v * v} table entries, "
                          f"found {n}; position {min(n, v * v)} is wrong")
-    # a list is json's own values; FiniteGroup range-checks the entries
-    flat = integers(flat, GroupError, f"{path}: table entry")
-    return FiniteGroup(flat.reshape(v, v), labels=labels,
+    # a list is json's own values, an entry a cell; FiniteGroup
+    # range-checks the entries
+    if isinstance(flat, list):
+        flat = np.fromiter(flat, dtype=object, count=n)
+    table = integers(flat.reshape(v, v), GroupError, f"{path}: table entry")
+    return FiniteGroup(table, labels=labels,
                        name=spec.get("name", "group"))
 
 

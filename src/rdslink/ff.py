@@ -31,32 +31,33 @@ def require_ints(error, **args):
 
 
 def integers(items, error, what: str) -> np.ndarray:
-    """items, a sequence or an array (a table is one sequence per row),
-    as an array of integer dtype, or of object dtype where an entry
-    needs more than 64 bits.  error names the first entry that is not
-    an integer, which numpy would otherwise truncate (0.5), read as 0 or
-    1 (a bool) or parse ('1'): "{what} {x!r} at {where} is not an
-    integer", where is "position i" in a sequence and "(i, j)" in a
-    table.  An integer array passes through uncopied."""
+    """items, a sequence or an array (a table comes as a 2-d array), as
+    an array of integer dtype, or of object dtype where an entry needs
+    more than 64 bits.  error names the first entry that is not an
+    integer, which numpy would otherwise truncate (0.5), read as 0 or 1
+    (a bool), parse ('1') or unpack ([1]): "{what} {x!r} at {where} is
+    not an integer", where is "position i" in a sequence and "(i, j)"
+    in a table.  An integer array passes through uncopied."""
     if isinstance(items, np.ndarray):
         if items.dtype.kind in "iu":
             return items
-        items = items.astype(object, copy=False)  # as Python scalars
+        shape = items.shape
+        cells = items.astype(object, copy=False).ravel()  # Python scalars
     else:
         try:
-            items = list(items)
+            cells = list(items)
         except TypeError:
             raise error(f"{what} is {items!r}, not a sequence") from None
-    if not {int}.issuperset(map(type, items)):  # a table, or not all ints
-        items = np.array(items, dtype=object)
-        for pos, x in enumerate(items.flat):
+        shape = (len(cells),)  # a nested sequence is one entry, not a row
+    if not {int}.issuperset(map(type, cells)):
+        for pos, x in enumerate(cells):
             if not is_int(x):
-                raise error(f"{what} {x!r} at {_where(pos, items.shape)} "
+                raise error(f"{what} {x!r} at {_where(pos, shape)} "
                             f"is not an integer")
     try:
-        return np.array(items, dtype=np.int64)
+        return np.array(cells, dtype=np.int64).reshape(shape)
     except OverflowError:  # an entry needs more than 64 bits
-        return np.array(items, dtype=object)
+        return np.array(cells, dtype=object).reshape(shape)
 
 
 def indices(items, n: int, error, what: str) -> np.ndarray:

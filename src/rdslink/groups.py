@@ -189,6 +189,8 @@ def _integer_table(table) -> np.ndarray:
     """table as a square uint16 array: within the byte budget and
     range-checked before it is narrowed, so no entry can wrap;
     GroupError names the first entry that is not an integer index."""
+    if isinstance(table, (list, tuple)):  # rows: to integers, a table
+        table = np.array(table, dtype=object)
     arr = integers(table, GroupError, "table entry")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not arr.size:
         raise GroupError("multiplication table must be square")

@@ -232,16 +232,18 @@ def associated_group(s: int, chi, psi) -> AssociatedGroup:
     chi = indices(chi, s, LinkedError, "chi")
     if len(chi) != s or any(chi[chi[a]] != a for a in range(s)):
         raise LinkedError("chi must be an involution of S")
+    cells = np.zeros((s, s), dtype=object)  # psi(a, b) at (a, b)
     for a, b in itertools.product(range(s), repeat=2):
-        if b != chi[a] and (a, b) not in psi:
-            raise LinkedError(f"psi undefined off the diagonal at ({a},{b})")
+        if b != chi[a]:
+            if (a, b) not in psi:
+                raise LinkedError(
+                    f"psi undefined off the diagonal at ({a},{b})")
+            cells[a, b] = psi[a, b]
     # infinity has index 0 and a in S index a + 1; a chi(a) = infinity
     v = s + 1
     table = np.zeros((v, v), dtype=np.int64)
     table[0] = table[:, 0] = np.arange(v)
-    table[1:, 1:] = indices(
-        [[psi[a, b] if b != chi[a] else 0 for b in range(s)]
-         for a in range(s)], s, LinkedError, "psi") + 1
+    table[1:, 1:] = indices(cells, s, LinkedError, "psi") + 1
     table[np.arange(1, v), chi + 1] = 0
     try:
         G = FiniteGroup(table, name=f"S^inf({s})")

@@ -298,12 +298,14 @@ def test_bundle_digests(tmp_path, command):
 
 
 @pytest.mark.parametrize("group, where", [
-    ({"order": 2, "table": [0, 1, 1, 0.9]}, "0.9 at position 3"),
+    ({"order": 2, "table": [0, 1, 1, 0.9]}, "at (1, 1)"),
     ({"order": 3, "table": [0, 1, 2, 1, 2, 0, 2, 0]}, "position 8"),
     ({"table": [0, 1, 1, 0]}, "'order'"),
-    ({"order": 2, "table": [0, True, True, 0]}, "True at position 1"),
-    ({"order": 2, "table": [0, 1, 1, 2 ** 70]},
-     f"table entry {2 ** 70} at (1, 1) is not an index 0..1"),
+    ({"order": 2, "table": [0, True, True, 0]}, "True at (0, 1)"),
+    # the id names the case by the message's earlier wording
+    pytest.param({"order": 2, "table": [0, 1, 1, 2 ** 70]},
+                 f"table entry {2 ** 70} at (1, 1) is not an index 0..1",
+                 id="group4-out of range"),
 ])
 def test_verify_rejects_malformed_table(tmp_path, group, where):
     gfile = tmp_path / "g.json"

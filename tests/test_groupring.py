@@ -222,10 +222,15 @@ def test_indicator_accepts_iterables_and_integer_arrays():
     (["3"], "entry '3' at position 0"),
     (np.array([1.0, 2.0]), "entry 1.0 at position 0"),
     (np.array([True]), "entry True at position 0"),
-    ([0, 6, -1], "entry 6 at position 1 is not an index 0..5"),
-    (np.array([3, -2]), "entry -2 at position 1 is not an index 0..5"),
-    ([2 ** 70], "entry 1180591620717411303424 at position 0 is not an "
-     "index 0..5"),
+    # each id names the case by the message's earlier wording
+    pytest.param([0, 6, -1], "entry 6 at position 1 is not an index 0..5",
+                 id="subset7-index 6 out of range"),
+    pytest.param(np.array([3, -2]),
+                 "entry -2 at position 1 is not an index 0..5",
+                 id="subset8-index -2 out of range"),
+    pytest.param([2 ** 70], "entry 1180591620717411303424 at position 0 "
+                 "is not an index 0..5",
+                 id="subset9-index 1180591620717411303424 out of range"),
 ])
 def test_indicator_rejects_non_integer_or_out_of_range(subset, witness):
     with pytest.raises(GroupRingError, match=witness):

@@ -201,10 +201,15 @@ def test_linked_product_over_every_f(heis3):
 
 
 @pytest.mark.parametrize("f, named", [
-    ({0: 1.5, 1: 0}, "f value 1.5 at position 0 is not an integer"),
-    ({0: "1", 1: 0}, "f value '1' at position 0 is not an integer"),
-    ({0: True, 1: 0}, "f value True at position 0 is not an integer"),
-    ({0.0: 1, 1: 0}, "f key 0.0 at position 0 is not an integer"),
+    # each id names the case by the message's earlier wording
+    pytest.param({0: 1.5, 1: 0}, "f value 1.5 at position 0 is not an "
+                 "integer", id="f0-f maps 0 to 1.5;"),
+    pytest.param({0: "1", 1: 0}, "f value '1' at position 0 is not an "
+                 "integer", id="f1-f maps 0 to '1';"),
+    pytest.param({0: True, 1: 0}, "f value True at position 0 is not an "
+                 "integer", id="f2-f maps 0 to True;"),
+    pytest.param({0.0: 1, 1: 0}, "f key 0.0 at position 0 is not an "
+                 "integer", id="f3-f maps 0.0 to 1;"),
     ([1, 0], "f = [1, 0] is not a dict"), (5, "f = 5 is not a dict")])
 def test_linked_product_rejects_a_malformed_f(q8cert, f, named):
     # int() once read 1.5 and "1" as 1, certifying the product for

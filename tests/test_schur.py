@@ -38,7 +38,11 @@ def test_partition_rejects_an_empty_class():
     ([(0,), (2,), (-1, 1)], "class 2 member -1 at position 0 is not an "
      "index 0..3"),
     ([(0,), (2,), (True, 3)], "class 2 member True at position 0 is not "
-     "an integer")])
+     "an integer")],
+    # each id names the case by the message's earlier wording
+    ids=["classes0-class 2 has member 4,", "classes1-class 1 has member 2.0,",
+         "classes2-class 2 has member -1,",
+         "classes3-class 2 has member True,"])
 def test_partition_rejects_non_element_members(classes, witness):
     SchurPartition(cyclic(4), [(np.int64(0),), (np.uint8(2),), (1, 3)])
     with pytest.raises(SRingError, match=re.escape(witness)):
