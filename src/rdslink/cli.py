@@ -411,7 +411,8 @@ def _load_group(path, spec) -> FiniteGroup:
     # range-checks the entries
     if isinstance(flat, list):
         flat = np.fromiter(flat, dtype=object, count=n)
-    table = integers(flat.reshape(v, v), GroupError, f"{path}: table entry")
+    table = integers(flat.reshape(v, v), GroupError, f"{path}: table entry",
+                     table=True)
     return FiniteGroup(table, labels=labels,
                        name=spec.get("name", "group"))
 

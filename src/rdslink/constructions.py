@@ -104,7 +104,7 @@ def heisenberg_system(F: Field, eps: int | None = None) -> HeisenbergSystem:
     Z = center(G)
     if len(Z) != q:
         raise ConstructionError("center has unexpected order")
-    zsharp = tuple(sorted(set(Z.members) - {0}))
+    zsharp = Z.members[1:]  # members are sorted, e = 0 first
     classes = set(P.classes)
     if zsharp not in classes:
         raise ConstructionError("Z^# is not a single orbit")
@@ -261,18 +261,14 @@ def extraspecial_rds(p: int) -> ExtraspecialSystem:
             gamma = (alpha % p) * beta * inv2 % p
             X0.append(G.index[((alpha + p * gamma) % p2, beta)])
     X0 = tuple(sorted(X0))
-    if X0 not in set(P.classes):
-        raise ConstructionError("X_0 is not a basic set of the partition")
 
-    t = G.table
-    X_sets = []
-    for i in range(p):
-        yi = G.index[(0, i)]
-        X_sets.append(tuple(sorted(int(t[g, yi]) for g in X0)))
+    # the right translates by y^i, i = 0..p-1; X_0 is the first
+    ys = [G.index[(0, i)] for i in range(p)]
+    X_sets = [tuple(x.tolist()) for x in np.sort(G.table[np.ix_(X0, ys)].T)]
+    zcosets = {tuple(z.tolist()) for z in
+               np.sort(G.table[np.ix_(Zsub.members[1:], ys)].T)}
     # the partition must be exactly {y^i}, Z^# y^i, X_i
-    singles = {(G.index[(0, i)],) for i in range(p)}
-    zcosets = {tuple(sorted(int(t[g, G.index[(0, i)]])
-                            for g in Zmem if g != 0)) for i in range(p)}
+    singles = {(y,) for y in ys}
     if set(P.classes) != singles | zcosets | set(X_sets):
         raise ConstructionError("partition differs from the expected list")
 
@@ -322,7 +318,7 @@ def q8_system() -> LinkedCertificate:
     b = G.index[(1, 0)]
     ba = G.mul(b, a)
     X1 = (e, a, b, ba)
-    X2 = tuple(sorted(int(G.inv[g]) for g in X1))
+    X2 = tuple(np.sort(G.inv[list(X1)]).tolist())
     Z = center(G)
     return verify_linked(G, Z, [X1, X2])
 

@@ -30,15 +30,18 @@ def require_ints(error, **args):
             raise error(f"{name} = {x!r} is not an int")
 
 
-def integers(items, error, what: str) -> np.ndarray:
-    """items, a sequence or an array (a table comes as a 2-d array), as
-    an array of integer dtype, or of object dtype where an entry needs
-    more than 64 bits.  error names the first entry that is not an
+def integers(items, error, what: str, table: bool = False) -> np.ndarray:
+    """items, a sequence or a 1-d array (with table, an array of any
+    shape, whose caller checks it), as an array of integer dtype, or of
+    object dtype where an entry needs more than 64 bits.  error names
+    an array of another shape, and the first entry that is not an
     integer, which numpy would otherwise truncate (0.5), read as 0 or 1
     (a bool), parse ('1') or unpack ([1]): "{what} {x!r} at {where} is
     not an integer", where is "position i" in a sequence and "(i, j)"
     in a table.  An integer array passes through uncopied."""
     if isinstance(items, np.ndarray):
+        if not table and items.ndim != 1:
+            raise error(f"{what} array has shape {items.shape}, not 1-d")
         if items.dtype.kind in "iu":
             return items
         shape = items.shape
@@ -60,10 +63,12 @@ def integers(items, error, what: str) -> np.ndarray:
         return np.array(cells, dtype=object).reshape(shape)
 
 
-def indices(items, n: int, error, what: str) -> np.ndarray:
-    """integers(items, error, what), each in 0..n-1; error names the
-    first that is not: "{what} {x} at {where} is not an index 0..{n-1}"."""
-    arr = integers(items, error, what)
+def indices(items, n: int, error, what: str,
+            table: bool = False) -> np.ndarray:
+    """integers(items, error, what, table), each in 0..n-1; error names
+    the first that is not: "{what} {x} at {where} is not an index
+    0..{n-1}"."""
+    arr = integers(items, error, what, table)
     if arr.size and ((arr.dtype.kind != "u" and arr.min() < 0)
                      or arr.max() >= n):
         # the first bad row, then the bad entry in it: no v x v mask

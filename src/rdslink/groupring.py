@@ -125,7 +125,7 @@ class GroupRingElement:
         return GroupRingElement(self.group, out)
 
     def support(self):
-        return tuple(int(g) for g in np.nonzero(self.vec)[0])
+        return tuple(np.flatnonzero(self.vec).tolist())
 
     def __eq__(self, other):
         return (isinstance(other, GroupRingElement)

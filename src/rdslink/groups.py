@@ -191,11 +191,11 @@ def _integer_table(table) -> np.ndarray:
     GroupError names the first entry that is not an integer index."""
     if isinstance(table, (list, tuple)):  # rows: to integers, a table
         table = np.array(table, dtype=object)
-    arr = integers(table, GroupError, "table entry")
+    arr = integers(table, GroupError, "table entry", table=True)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not arr.size:
         raise GroupError("multiplication table must be square")
     _check_budget(len(arr))
-    indices(arr, len(arr), GroupError, "table entry")
+    indices(arr, len(arr), GroupError, "table entry", table=True)
     # C order: GroupRingElement.__mul__ gathers from the raveled table
     return np.ascontiguousarray(arr, dtype=np.uint16)
 
@@ -363,7 +363,7 @@ class Automorphism:
         return int(self.perm[g])
 
     def apply_set(self, S):
-        return tuple(sorted(int(self.perm[g]) for g in S))
+        return tuple(np.sort(self.perm[list(S)]).tolist())
 
     def order(self) -> int:
         """The lcm of the lengths of perm's cycles."""
@@ -518,6 +518,9 @@ def automorphism_from_images(G: FiniteGroup, images: dict) -> Automorphism:
     G.gens by the Automorphism audit).  Along the tree of a walk over
     y = p g_k (_walk), phi(y) = phi(p) phi(g_k), each parent first."""
     gens = indices(images, G.order, GroupError, "generator")
+    if not isinstance(images, dict):
+        raise GroupError(f"images = {images!r} is not a dict from "
+                         f"generators to images")
     targets = indices(images.values(), G.order, GroupError, "image")
     reached, tree = np.arange(G.order) == 0, []
     _walk(G.table[:, gens].T, reached, tree)
@@ -572,18 +575,23 @@ class CentralProduct:
     amalgamated: Subgroup  # image of Z1 = image of Z2 in group
 
 
-def _check_iso(Z1: Subgroup, Z2: Subgroup, theta: dict):
+def _check_iso(Z1: Subgroup, Z2: Subgroup, theta: dict) -> np.ndarray:
+    """theta as an array, checked to be an isomorphism Z1 -> Z2."""
     keys = indices(theta, Z1.group.order, GroupError, "theta key")
+    if not isinstance(theta, dict):
+        raise GroupError(f"theta = {theta!r} is not a dict from Z1 to Z2")
     values = indices(theta.values(), Z2.group.order, GroupError,
                      "theta value")
     if set(keys.tolist()) != set(Z1.members) or \
             set(values.tolist()) != set(Z2.members):
         raise GroupError("theta is not a bijection Z1 -> Z2")
-    t1, t2 = Z1.group.table, Z2.group.table
-    for a in Z1.members:
-        for b in Z1.members:
-            if theta[int(t1[a, b])] != int(t2[theta[a], theta[b]]):
-                raise GroupError("theta is not an isomorphism")
+    th = np.zeros(Z1.group.order, dtype=np.int64)
+    th[keys] = values
+    z = np.array(Z1.members)
+    if not np.array_equal(th[Z1.group.table[np.ix_(z, z)]],
+                          Z2.group.table[np.ix_(th[z], th[z])]):
+        raise GroupError("theta is not an isomorphism")
+    return th
 
 
 def central_product(G1: FiniteGroup, G2: FiniteGroup,
@@ -596,22 +604,20 @@ def central_product(G1: FiniteGroup, G2: FiniteGroup,
     embedding is audited as an injective homomorphism on G_i.gens, and
     the embedded copies must commute and meet in the amalgamated one.
     """
-    # z is central iff its row of the table equals its column
     for i, Gi, Zi in ((1, G1, Z1), (2, G2, Z2)):
-        zs = list(Zi.members)
-        if not np.array_equal(Gi.table[zs], Gi.table[:, zs].T):
+        if not set(Zi.members) <= set(center(Gi).members):
             raise GroupError(f"Z{i} is not central in G{i}")
     if len(Z1) != len(Z2):
         raise GroupError("central subgroups have different orders")
     if theta is None:
         theta = dict(zip(Z1.members, Z2.members))
-    _check_iso(Z1, Z2, theta)
+    th = _check_iso(Z1, Z2, theta)
 
     v1, v2 = G1.order, G2.order
     v = v1 * v2 // len(Z1)
     _check_budget(v)
     zs = list(Z1.members)
-    ws = G2.inv[[theta[z] for z in zs]]  # D = {(z, theta(z)^-1)}
+    ws = G2.inv[th[zs]]  # D = {(z, theta(z)^-1)}
     t1, t2 = G1.table, G2.table
     # pair (a, b) has the int64 key a*v2 + b; its D-coset's least pair
     # key is the coset's representative, a running minimum over D that
@@ -638,7 +644,7 @@ def central_product(G1: FiniteGroup, G2: FiniteGroup,
         if np.unique(emb).size != emb.size:
             raise GroupError(f"embed{i} is not injective")
         _check_homomorphism(Gi, G, emb, f"embed{i}")
-    amalg = Subgroup(G, tuple(int(embed1[z]) for z in zs))
+    amalg = Subgroup(G, tuple(embed1[zs].tolist()))
     # the embedded copies must commute elementwise and intersect in amalg
     if set(embed1.tolist()) & set(embed2.tolist()) != set(amalg.members):
         raise GroupError("embedded factors do not intersect in Z")

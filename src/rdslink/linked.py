@@ -76,18 +76,20 @@ def verify_linked(G: FiniteGroup, N: Subgroup | None,
 
     Without N, N is the forbidden subgroup the first member's certificate
     finds (see verify_rds), and the other members are certified against
-    it.  chi comes from matching inverses inside the family; for every
-    non-inverse pair the product must take exactly two coefficient
-    values, the level set of the smaller-support value being a family
-    member; (mu, nu) are read off and cross-checked against the closed
-    formulas (one sign branch must match).
+    it.  chi maps a to the member whose indicator is X_a's involution;
+    for every non-inverse pair the product must take exactly two
+    coefficient values, the indicator of one level set being a member's;
+    (mu, nu) are read off and cross-checked against the closed formulas
+    (one sign branch must match).
     """
     ind = [GroupRingElement.indicator(G, X) for X in family]
     sets = [x.support() for x in ind]
     s = len(sets)
     if s < 2:
         raise LinkedError("a linked system needs at least 2 members")
-    if len(set(sets)) != s:
+    # a member is keyed by its packed indicator, and so is a level set
+    lookup = {_key(x.vec): i for i, x in enumerate(ind)}
+    if len(lookup) != s:
         raise LinkedError("family members must be pairwise distinct")
     certs = [verify_rds(G, sets[0], N)]
     N = certs[0].N
@@ -97,14 +99,10 @@ def verify_linked(G: FiniteGroup, N: Subgroup | None,
         raise LinkedError(f"members have different parameters: {params}")
     m, n, k, lam = certs[0].parameters
 
-    lookup = {X: i for i, X in enumerate(sets)}
-    chi = []
-    for i, X in enumerate(sets):
-        Xi = tuple(sorted(int(G.inv[g]) for g in X))
-        if Xi not in lookup:
-            raise InverseNotInFamily(f"inverse of member {i} not in family")
-        chi.append(lookup[Xi])
-    chi = tuple(chi)
+    chi = tuple(lookup.get(_key(x.involution().vec)) for x in ind)
+    if None in chi:
+        raise InverseNotInFamily(
+            f"inverse of member {chi.index(None)} not in family")
     assert all(chi[chi[a]] == a for a in range(s))
 
     # (X_a X_b)* = X_b* X_a* = X_chi(b) X_chi(a) in any group ring, and
@@ -125,21 +123,18 @@ def verify_linked(G: FiniteGroup, N: Subgroup | None,
             raise ProductNotTwoValued(f"product of members {a},{b} takes "
                                       f"values {np.unique(prod).tolist()}")
         # the mu-level set is the family member; try both values
-        target = None
-        for cand_mu, cand_nu, mask in ((lo, hi, at_lo), (hi, lo, ~at_lo)):
-            level = tuple(np.flatnonzero(mask).tolist())
-            if level in lookup:
-                target = (lookup[level], cand_mu, cand_nu)
+        for cand, mask in (((lo, hi), at_lo), ((hi, lo), ~at_lo)):
+            g = lookup.get(_key(mask))
+            if g is not None:
                 break
-        if target is None:
+        else:
             raise LevelSetNotMember(
                 f"no level set of product {a},{b} is a family member")
-        g, cand_mu, cand_nu = target
         if mu is None:
-            mu, nu = cand_mu, cand_nu
-        elif (mu, nu) != (cand_mu, cand_nu):
+            mu, nu = cand
+        elif (mu, nu) != cand:
             raise LinkedError(
-                f"(mu, nu) not constant across pairs: ({cand_mu},{cand_nu}) "
+                f"(mu, nu) not constant across pairs: ({cand[0]},{cand[1]}) "
                 f"at {a},{b} vs ({mu},{nu})")
         psi[(a, b)] = g
 
@@ -151,6 +146,11 @@ def verify_linked(G: FiniteGroup, N: Subgroup | None,
                           f"closed branch {branches}")
     return LinkedCertificate(G, N, sets, m, n, k, lam, s, mu, nu, chi, psi,
                              certs)
+
+
+def _key(vec) -> bytes:
+    """The support of vec as bytes, one bit an element."""
+    return np.packbits(vec != 0).tobytes()
 
 
 def munu_by_sign(m: int, n: int, k: int) -> dict:
@@ -203,14 +203,14 @@ class AssociatedGroup:
                 "invariant_factors": list(self.invariant_factors)}
 
 
-def _abelian_invariant_factors(G: FiniteGroup):
+def _abelian_invariant_factors(orders):
     """Invariant factors n_1, n_2, ... (each dividing the one before) of
-    an abelian group, read off its element orders: for a prime p,
-    #{g : g^(p^i) = e} = p^(c_i), and c_i - c_(i-1) of its cyclic
-    p-factors have order p^i or more, so each of the first c_i - c_(i-1)
-    invariant factors takes one more p."""
-    v = G.order
-    orders = np.array(G.element_orders())
+    an abelian group, read off the list of its element orders: for a
+    prime p, #{g : g^(p^i) = e} = p^(c_i), and c_i - c_(i-1) of its
+    cyclic p-factors have order p^i or more, so each of the first
+    c_i - c_(i-1) invariant factors takes one more p."""
+    v = len(orders)
+    orders = np.array(orders)
     factors = []
     for p in [p for p in range(2, v + 1) if v % p == 0 and is_prime(p)]:
         count, q = 1, p  # count = #{g : g^(q/p) = e}
@@ -232,6 +232,8 @@ def associated_group(s: int, chi, psi) -> AssociatedGroup:
     chi = indices(chi, s, LinkedError, "chi")
     if len(chi) != s or any(chi[chi[a]] != a for a in range(s)):
         raise LinkedError("chi must be an involution of S")
+    if not isinstance(psi, dict):
+        raise LinkedError(f"psi = {psi!r} is not a dict from pairs to S")
     cells = np.zeros((s, s), dtype=object)  # psi(a, b) at (a, b)
     for a, b in itertools.product(range(s), repeat=2):
         if b != chi[a]:
@@ -243,7 +245,7 @@ def associated_group(s: int, chi, psi) -> AssociatedGroup:
     v = s + 1
     table = np.zeros((v, v), dtype=np.int64)
     table[0] = table[:, 0] = np.arange(v)
-    table[1:, 1:] = indices(cells, s, LinkedError, "psi") + 1
+    table[1:, 1:] = indices(cells, s, LinkedError, "psi", table=True) + 1
     table[np.arange(1, v), chi + 1] = 0
     try:
         G = FiniteGroup(table, name=f"S^inf({s})")
@@ -255,7 +257,7 @@ def associated_group(s: int, chi, psi) -> AssociatedGroup:
         kind = "cyclic"
         invs = (v,)
     elif G.is_abelian():
-        invs = _abelian_invariant_factors(G)
+        invs = _abelian_invariant_factors(orders)
         if len(set(orders[1:])) == 1 and is_prime(orders[1]):
             kind = "elementary_abelian"
         else:

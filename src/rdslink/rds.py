@@ -141,7 +141,8 @@ def verify_rds(G: FiniteGroup, X, N: Subgroup | None = None) -> RdsCertificate:
     if N is not None and not (isinstance(N, Subgroup) and N.group is G):
         raise RdsError(f"forbidden subgroup is a {type(N).__name__}, not "
                        f"a Subgroup of {G.name}")
-    xx = x * x.involution()
+    xi = x.involution()
+    xx = x * xi
     d = xx.vec.copy()
     if N is None:
         try:
@@ -177,7 +178,7 @@ def verify_rds(G: FiniteGroup, X, N: Subgroup | None = None) -> RdsCertificate:
     # cross-check: X meets every right N-coset exactly once
     if semiregular and not is_transversal(G, N, X):
         raise LemmaViolation("k = m but X is not a right transversal")
-    reversible = (X == tuple(sorted(int(G.inv[g]) for g in X)))
+    reversible = (xi == x)
     icom = is_icommuting(x, xx, N)
     return RdsCertificate(G, X, N, m, n, k, lam, semiregular, reversible,
                           icom)

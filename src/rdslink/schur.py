@@ -19,7 +19,7 @@ class SRingError(ValueError):
 
 class SchurPartition:
     """A partition of G into basic sets with {e} a class and classes
-    closed under inversion."""
+    closed under inversion, class i onto class star[i]."""
 
     def __init__(self, group: FiniteGroup, classes):
         v = group.order
@@ -40,18 +40,20 @@ class SchurPartition:
         if (class_of < 0).any():
             missing = int(np.where(class_of < 0)[0][0])
             raise SRingError(f"element {missing} not covered")
+        if classes[int(class_of[0])] != (0,):
+            raise SRingError("{e} must be a class on its own")
+        # g -> g^-1 is a bijection: the inverse of class i is a class iff
+        # every inverse lies in class star[i], of the same size
+        star = class_of[group.inv[[c[0] for c in classes]]]
+        sizes = np.bincount(class_of)
+        bad = sizes[star] != sizes
+        bad[class_of[class_of[group.inv] != star[class_of]]] = True
+        if bad.any():
+            raise SRingError(f"inverse of class {bad.argmax()} is not a class")
         self.group = group
         self.classes = classes
         self.class_of = class_of
-        self.identity_class = int(class_of[0])
-        if classes[self.identity_class] != (0,):
-            raise SRingError("{e} must be a class on its own")
-        inv = group.inv
-        for i, c in enumerate(classes):
-            ic = tuple(sorted(int(inv[g]) for g in c))
-            if class_of[ic[0]] != class_of[ic[-1]] or \
-                    self.classes[int(class_of[ic[0]])] != ic:
-                raise SRingError(f"inverse of class {i} is not a class")
+        self.star = star.tolist()
 
     @property
     def rank(self):
@@ -73,11 +75,10 @@ def verify_sring(P: SchurPartition) -> np.ndarray:
     r = P.rank
     tensor = np.zeros((r, r, r), dtype=np.int64)
     inds = [GroupRingElement.indicator(G, c) for c in P.classes]
-    # star[i] is the class of inverses of class i.  (C_i C_j)* =
-    # C_star(j) C_star(i) in any group ring, so (star j, star i) takes the
-    # values of (i, j) at inverse classes; of the two, the pair that comes
-    # first in this loop is computed
-    star = P.class_of[G.inv[[c[0] for c in P.classes]]].tolist()
+    # (C_i C_j)* = C_star(j) C_star(i) in any group ring, so
+    # (star j, star i) takes the values of (i, j) at inverse classes; of
+    # the two, the pair that comes first in this loop is computed
+    star = P.star
     for i in range(r):
         for j in range(r):
             if (star[j], star[i]) < (i, j):
@@ -122,14 +123,15 @@ def affine_plane_group(F: Field) -> FiniteGroup:
     return FiniteGroup.from_elements(els, mul, name=f"EA({F.q}^2)")
 
 
-def lines_through_origin(F: Field, G: FiniteGroup):
+def lines_through_origin(F: Field):
     """The n+1 punctured lines of F^2, enumerated by slope
-    (infinity, 0, 1, ... in field order)."""
+    (infinity, 0, 1, ... in field order), as sorted indices of
+    affine_plane_group(F), where (x, y) has index x n + y."""
     n = F.q
-    lines = [tuple(G.index[(0, y)] for y in range(1, n))]  # slope infinity
+    x = np.arange(1, n)
+    lines = [tuple(x.tolist())]  # slope infinity: (0, y)
     for s in F.elements():
-        lines.append(tuple(sorted(
-            G.index[(x, F.mul(s, x))] for x in range(1, n))))
+        lines.append(tuple(np.sort(x * n + F.mul(s, x)).tolist()))
     return lines
 
 
@@ -158,9 +160,11 @@ def amorphic_latin(F: Field, t: int, labeling=None):
     if t < 1 or n % t != 0:
         raise SRingError(f"t = {t} does not divide n = {n}")
     G = affine_plane_group(F)
-    lines = lines_through_origin(F, G)
+    lines = lines_through_origin(F)
     if labeling is None:
         labeling = default_labeling(n, t)
+    if not isinstance(labeling, (list, tuple)):
+        raise SRingError(f"labeling is {labeling!r}, not a sequence")
     if len(labeling) != t:
         raise SRingError("labeling must have t cells")
     labeling = [indices(c, n + 1, SRingError,

@@ -240,3 +240,31 @@ def _is_int_in_loops():
 
 def test_entries_are_checked_by_ff_alone():
     assert _is_int_in_loops() == []
+
+
+def _per_element_sorts():
+    """Every sorted() in src/rdslink over a comprehension or generator
+    whose element subscripts with the comprehension's own loop
+    variable, such as sorted(int(perm[g]) for g in X): an image or a
+    translate of a set is one gather and one np.sort."""
+    out = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call) and ast.unparse(node.func)
+                    == "sorted" and node.args and isinstance(
+                        node.args[0], (ast.ListComp, ast.GeneratorExp))):
+                continue
+            comp = node.args[0]
+            loop = {leaf.id for gen in comp.generators
+                    for leaf in ast.walk(gen.target)
+                    if isinstance(leaf, ast.Name)}
+            if any(isinstance(sub, ast.Subscript) and any(
+                    isinstance(leaf, ast.Name) and leaf.id in loop
+                    for leaf in ast.walk(sub.slice))
+                    for sub in ast.walk(comp.elt)):
+                out.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    return out
+
+
+def test_no_set_is_sorted_element_by_element():
+    assert _per_element_sorts() == []

@@ -3,6 +3,7 @@ import itertools
 import re
 from typing import Callable, NamedTuple
 
+import numpy as np
 import pytest
 
 from rdslink import cli
@@ -232,6 +233,8 @@ class Entry(NamedTuple):
     where: str | None  # where the message says the bad entry is
     n: int | None  # the index range; None where only types are checked
     whole: bool = True  # whether a non-sequence for base meets the check
+    # for an entry point that takes a dict: its name, and what it maps
+    dict_of: tuple | None = None
 
 
 C4 = cyclic(4)
@@ -257,13 +260,14 @@ ENTRY_POINTS = {
     "Automorphism": Entry(lambda x: Automorphism(C4, x), [0, 3, 2, 1], 3,
                           GroupError, "automorphism image", "position 3", 4),
     "images-key": Entry(lambda x: automorphism_from_images(C4, x), {1: 3},
-                        ("key", 1), GroupError, "generator", "position 0", 4),
+                        ("key", 1), GroupError, "generator", "position 0", 4,
+                        dict_of=("images", "generators to images")),
     "images-value": Entry(lambda x: automorphism_from_images(C4, x), {1: 3},
                           ("value", 1), GroupError, "image", "position 0", 4,
                           whole=False),
     "theta-key": Entry(lambda x: central_product(C4, C4, Z, Z, x),
                        {0: 0, 2: 2}, ("key", 2), GroupError, "theta key",
-                       "position 1", 4),
+                       "position 1", 4, dict_of=("theta", "Z1 to Z2")),
     "theta-value": Entry(lambda x: central_product(C4, C4, Z, Z, x),
                          {0: 0, 2: 2}, ("value", 2), GroupError,
                          "theta value", "position 1", 4, whole=False),
@@ -276,16 +280,21 @@ ENTRY_POINTS = {
     "amorphic_latin": Entry(
         lambda x: amorphic_latin(field_make(2, 2), 2, [x, (3, 4)]),
         [0, 1, 2], 2, SRingError, "labeling cell 0 line", "position 2", 5),
+    # the labeling itself: only a non-sequence applies
+    "amorphic_latin-labeling": Entry(
+        lambda x: amorphic_latin(field_make(2, 2), 2, x), None, None,
+        SRingError, "labeling", None, None),
     "dev": Entry(lambda x: dev(C4, x), [0, 1], 1, RdsError,
                  "base block member", "position 1", 4),
     "chi": Entry(lambda x: associated_group(2, x, {(0, 0): 1, (1, 1): 0}),
                  [1, 0], 1, LinkedError, "chi", "position 1", 2),
     "psi": Entry(lambda x: associated_group(2, (1, 0), x),
                  {(0, 0): 1, (1, 1): 0}, ("value", (1, 1)), LinkedError,
-                 "psi", "(1, 1)", 2, whole=False),
+                 "psi", "(1, 1)", 2, whole=False,
+                 dict_of=("psi", "pairs to S")),
     # f that is not a dict has its own LinkedError (f = 5 is not a dict)
     "f-key": Entry(_f, {0: 1, 1: 0}, ("key", 1), LinkedError, "f key",
-                   "position 1", 2, whole=False),
+                   "position 1", 2, whole=False, dict_of=("f", "S to S")),
     "f-value": Entry(_f, {0: 1, 1: 0}, ("value", 0), LinkedError, "f value",
                      "position 0", 2, whole=False),
     # the cli checks types; the layer that owns the set checks the range
@@ -298,6 +307,10 @@ ENTRY_POINTS = {
         None, whole=False),
 }
 BAD = [True, 1.5, "1", [1], -1, "n", NOT_A_SEQUENCE]
+# where a set is expected, a 2-d array whose entries are in range
+TWO_D = np.array([[0], [1]])
+# where a dict is expected, a sequence of keys that are in range
+NOT_A_DICT = [0, 1]
 
 
 @pytest.mark.parametrize("name, bad", [
@@ -305,16 +318,28 @@ BAD = [True, 1.5, "1", [1], -1, "n", NOT_A_SEQUENCE]
     if (e.whole if bad is NOT_A_SEQUENCE else e.base is not None and (
         e.n is not None or bad not in (-1, "n")) and not (
         # a list is no dict key
-        bad == [1] and isinstance(e.at, tuple) and e.at[0] == "key"))],
-    ids=lambda p: p if isinstance(p, str) else repr(p))
+        bad == [1] and isinstance(e.at, tuple) and e.at[0] == "key"))] + [
+    # an entry point whose entries sit at a position takes a set
+    (name, TWO_D) for name, e in ENTRY_POINTS.items()
+    if e.whole and (e.where or "").startswith("position")] + [
+    (name, NOT_A_DICT) for name, e in ENTRY_POINTS.items() if e.dict_of],
+    ids=lambda p: p if isinstance(p, str) else (
+        "2-d" if p is TWO_D else repr(p)))
 def test_every_index_entry_point_rejects_bad_input(name, bad):
     """Each entry point raises its module's typed error, naming the
     entry and its position.  Automorphism and dev once took True as 1;
     a float key of automorphism_from_images, True in theta, and
-    Subgroup(G, 5) or SchurPartition(G, 5) raised a stray error; and a
-    nested [1] was read as a row of the table or set."""
+    Subgroup(G, 5) or SchurPartition(G, 5) raised a stray error; a
+    nested [1] was read as a row of the table or set; a 2-d array was
+    read as a set; and a list given for a dict, or a labeling that is
+    no sequence, raised a stray error."""
     e = ENTRY_POINTS[name]
-    if bad is NOT_A_SEQUENCE:
+    if bad is TWO_D:
+        arg, message = bad, f"{e.what} array has shape {bad.shape}, not 1-d"
+    elif bad is NOT_A_DICT:
+        arg, message = bad, (f"{e.dict_of[0]} = {bad!r} is not a dict from "
+                             f"{e.dict_of[1]}")
+    elif bad is NOT_A_SEQUENCE:
         arg, message = bad, f"{e.what} is {bad!r}, not a sequence"
     elif bad in (-1, "n"):
         x = -1 if bad == -1 else e.n

@@ -109,7 +109,7 @@ def test_affine_plane_and_lines():
     F = field_make(3)
     G = affine_plane_group(F)
     assert G.order == 9
-    lines = lines_through_origin(F, G)
+    lines = lines_through_origin(F)
     assert len(lines) == 4
     assert all(len(line) == 2 for line in lines)
     # the punctured lines partition G^#
