@@ -19,25 +19,29 @@ import numpy as np
 
 from . import constructions as cons
 from . import groups
-from .ff import field_make, integers, is_prime
+from .ff import Q_MAX, Field, FieldError, field_make, integers
 from .groups import FiniteGroup, GroupError, Subgroup
 from .linked import associated_group, munu_by_sign, verify_linked
 from .rds import cayley_adjacency, dev, verify_pds, verify_rds
 from .schur import SchurPartition, verify_sring
 
 
-def _prime_power(q: int):
+def _field(q: int) -> Field:
+    """GF(q): a FieldError past Q_MAX, decided before any factoring, and
+    a ValueError where q is not a prime power."""
+    if q > Q_MAX:
+        raise FieldError(f"q = {q} exceeds the supported range q <= {Q_MAX}")
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
-    p = min(d for d in range(2, q + 1) if q % d == 0)
+    p = next(d for d in range(2, q + 1) if q % d == 0)  # a prime
     r = 0
     x = q
     while x % p == 0:
         x //= p
         r += 1
-    if x != 1 or not is_prime(p):
+    if x != 1:
         raise ValueError(f"{q} is not a prime power")
-    return p, r
+    return field_make(p, r)
 
 
 def _write(out_path, chunks):
@@ -47,11 +51,6 @@ def _write(out_path, chunks):
             fh.writelines(chunks)
     else:
         sys.stdout.writelines(chunks)
-
-
-def _holds_array(obj) -> bool:
-    return isinstance(obj, np.ndarray) or (
-        isinstance(obj, dict) and any(map(_holds_array, obj.values())))
 
 
 def _table_chunks(table: np.ndarray, pad: str):
@@ -68,28 +67,33 @@ def _table_chunks(table: np.ndarray, pad: str):
     yield pad + "]"
 
 
-def _json_chunks(obj, pad="\n"):
-    """The text of json.dumps(obj, sort_keys=True, indent=2) in pieces,
-    for obj nested where its lines start with pad.  A Cayley table held
-    as an array is streamed, so its v^2 entries never form one Python
-    list or string; the dicts around it are written key by key (their
-    keys are strings)."""
-    if isinstance(obj, np.ndarray):
-        yield from _table_chunks(obj, pad)
-    elif _holds_array(obj):
-        inner = pad + "  "
-        for i, (key, value) in enumerate(sorted(obj.items())):
-            yield ("," if i else "{") + inner + json.dumps(key) + ": "
-            yield from _json_chunks(value, inner)
-        yield pad + "}"
-    else:  # the encoder escapes every newline inside a string
-        yield json.dumps(obj, sort_keys=True, indent=2).replace("\n", pad)
+_HELD = json.dumps("\0")  # the text json.dumps writes for a held array
 
 
 def _json_text(obj):
     """json.dumps(obj, sort_keys=True, indent=2) and a newline, in
-    pieces."""
-    yield from _json_chunks(obj)
+    pieces.  Each array (a Cayley table) is held out of the text and
+    streamed in its place, indented like its line, so its v^2 entries
+    never form one Python list or string."""
+    held = []
+
+    def hold(x):
+        if not isinstance(x, np.ndarray):
+            raise TypeError(f"Object of type {type(x).__name__} "
+                            f"is not JSON serializable")
+        held.append(x)
+        return "\0"
+
+    text = json.dumps(obj, sort_keys=True, indent=2, default=hold)
+    # no string the library writes holds a NUL, and a report, which may
+    # echo the user's strings, holds no array and is not split
+    pieces = text.split(_HELD, len(held))
+    for piece, table in zip(pieces, held):
+        yield piece
+        line = piece[piece.rfind("\n") + 1:]
+        yield from _table_chunks(table, "\n" + " " * (
+            len(line) - len(line.lstrip(" "))))
+    yield pieces[-1]
     yield "\n"
 
 
@@ -128,16 +132,14 @@ def _linked_bundle(family, params, cert, provenance=None):
 def cmd_construct(args):
     family = args.family
     if family == "heisenberg":
-        p, r = _prime_power(args.q)
-        F = field_make(p, r)
+        F = _field(args.q)
         hs = cons.heisenberg_system(F)
         bundle = _linked_bundle(
             family, {"q": args.q}, hs.certificate,
             provenance={"field": F.to_json(), "eps": hs.eps,
                         "delta": hs.delta})
     elif family == "heisenberg2r":
-        p, r0 = _prime_power(args.q)
-        F = field_make(p, r0)
+        F = _field(args.q)
         cert = cons.heisenberg_system_2r(F, args.r)
         bundle = _linked_bundle(family, {"q": args.q, "r": args.r}, cert,
                                 provenance={"field": F.to_json()})
@@ -160,8 +162,7 @@ def cmd_construct(args):
         bundle = _linked_bundle(family, {"r": args.r}, cert)
         bundle["branch_note"] = cert.branch_note
     elif family == "dps":
-        p, r = _prime_power(args.n)
-        F = field_make(p, r)
+        F = _field(args.n)
         ds = cons.dps_system(F, args.t, args.s)
         bundle = _linked_bundle(
             family, {"n": args.n, "t": args.t, "s": args.s or args.t},
@@ -480,7 +481,7 @@ def cmd_verify(args):
             report["certificates"] = [cert.to_json()]
         elif args.kind == "sring":
             classes = sets
-            if [0] not in classes and (0,) not in [tuple(c) for c in classes]:
+            if [0] not in classes:
                 classes = [[0]] + classes
             P = SchurPartition(G, classes)
             report["certificates"] = [{"partition": P.to_json(),
@@ -527,9 +528,9 @@ def cmd_export(args):
     if args.family not in _EXPORTS[args.what]:
         raise ValueError(f"export {args.what} does not build "
                          f"--family {args.family}")
+    if args.family == "heisenberg":
+        hs = cons.heisenberg_system(_field(args.q))
     if args.what == "graph":
-        p, r = _prime_power(args.q)
-        hs = cons.heisenberg_system(field_make(p, r))
         S = hs.orbit_sets[0]  # X_0 minus the identity
         adj = cayley_adjacency(hs.group, S)
         chunks = _graph_chunks(adj, args.format)
@@ -538,8 +539,6 @@ def cmd_export(args):
             cert = cons.q8_system()
             G, X = cert.group, cert.sets[0]
         else:
-            p, r = _prime_power(args.q)
-            hs = cons.heisenberg_system(field_make(p, r))
             G, X = hs.group, hs.sets[0]
         blocks = dev(G, X)
         if args.format == "json":
@@ -552,8 +551,7 @@ def cmd_export(args):
             es = cons.extraspecial_rds(args.p)
             P = es.partition
         else:
-            p, r = _prime_power(args.q)
-            P = cons.heisenberg_system(field_make(p, r)).partition
+            P = hs.partition
         chunks = _json_text({"classes": [list(c) for c in P.classes],
                              "class_sizes": P.class_sizes(),
                              "tensor": verify_sring(P).tolist()})
@@ -569,8 +567,7 @@ def cmd_export(args):
 
 def cmd_resolve_branch(args):
     if args.target == "heis2r":
-        p, r0 = _prime_power(args.q)
-        cert = cons.heisenberg_system_2r(field_make(p, r0), args.r)
+        cert = cons.heisenberg_system_2r(_field(args.q), args.r)
         params = {"q": args.q, "r": args.r}
     else:
         cert = cons.q8_system_2r(args.r)

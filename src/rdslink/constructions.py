@@ -14,7 +14,7 @@ import numpy as np
 
 from .ff import (Field, field_make, least_nonsquare, is_int, is_prime,
                  require_ints)
-from .groups import (FiniteGroup, Subgroup, Automorphism,
+from .groups import (FiniteGroup, Subgroup, Automorphism, _check_budget,
                      automorphism_from_images, center, central_product,
                      elementary_abelian, extraspecial_mp3, heisenberg,
                      quaternion8, direct_product)
@@ -151,8 +151,14 @@ def _iterated_product(cert, base_cert, r, product):
     amalgamates their forbidden subgroups; returns the last certificate.
 
     Each step after the first amalgamates along the previous one: the
-    subgroup it built is base_cert.N's image under embed2."""
+    subgroup it built is base_cert.N's image under embed2.  Each step
+    multiplies the order by |G_base| / |N|: every order is checked
+    against the table budget before the first product is built."""
     Z, theta = base_cert.N, None
+    v = cert.group.order
+    for _ in range(r - 1):
+        v = v * base_cert.group.order // len(Z)
+        _check_budget(v)
     for _ in range(r - 1):
         cp = central_product(cert.group, base_cert.group, cert.N, Z,
                              theta=theta)
@@ -392,9 +398,9 @@ def dps_system(F: Field, t: int, s: int | None = None,
     fams = []
     for a in S[1:]:
         hf = h_of[Fh.mul(a, field_of)] * vg  # h -> h^f, shifted into H x G
-        members = np.unique(np.concatenate(
+        members = np.sort(np.concatenate(
             [[0]] + [hf[h] + np.asarray(sets[h]) for h in range(t)]))
-        if members.size != n * n:
+        if members.size != n * n or (members[1:] == members[:-1]).any():
             raise ConstructionError("|Y_f| != n^2")
         fams.append(tuple(members.tolist()))
 

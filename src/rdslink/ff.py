@@ -14,6 +14,10 @@ import itertools
 import numpy as np
 
 
+# the largest field order q = p^r supported
+Q_MAX = 1 << 16
+
+
 class FieldError(ValueError):
     pass
 
@@ -166,13 +170,16 @@ class Field:
 
     def __init__(self, p: int, r: int = 1):
         require_ints(FieldError, p=p, r=r)
+        # p >= 2 gives p^r >= 2^r, so r > 16 is out of range at any p:
+        # decided before the power, whose digits may be too many to print
+        if p > 1 and r > 0 and (r > 16 or p ** r > Q_MAX):
+            raise FieldError(f"p^r = {p}^{r} exceeds the supported range "
+                             f"q <= {Q_MAX}")
         if not is_prime(p):
             raise FieldError(f"{p} is not prime")
         if r < 1:
             raise FieldError("degree must be positive")
         q = p ** r
-        if q > 2 ** 16:
-            raise FieldError(f"p^r = {q} exceeds the supported range")
         self.p = p
         self.r = r
         self.q = q

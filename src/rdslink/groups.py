@@ -35,9 +35,15 @@ class GroupError(ValueError):
     pass
 
 
-def _check_budget(v: int):
-    """Raise GroupError, before any v x v allocation, when an order-v
-    table would exceed TABLE_BYTES."""
+def _check_budget(base: int, exp: int = 1):
+    """Raise GroupError, before any v x v allocation, when a table of
+    order v = base^exp would exceed TABLE_BYTES.  Past 2^64, far over
+    the budget, v is named as the power and never formed: its digits
+    may be too many to print."""
+    if exp > 1 and exp * (base.bit_length() - 1) > 64:
+        raise GroupError(f"order {base}^{exp} needs a 2*{base}^{2 * exp}"
+                         f"-byte table, over the {TABLE_BYTES:,}-byte budget")
+    v = base ** exp
     if 2 * v * v > TABLE_BYTES:
         raise GroupError(f"order {v} needs a {2 * v * v:,}-byte table, "
                          f"over the {TABLE_BYTES:,}-byte budget")
@@ -368,7 +374,7 @@ class Automorphism:
     def order(self) -> int:
         """The lcm of the lengths of perm's cycles."""
         sizes = np.bincount(_orbit_least(self.perm[None]))
-        return math.lcm(*np.unique(sizes[sizes > 0]).tolist())
+        return math.lcm(*set(sizes[sizes > 0].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +396,7 @@ def elementary_abelian(p: int, k: int) -> FiniteGroup:
         raise GroupError(f"{p} is not prime")
     if k < 0:
         raise GroupError(f"k = {k} is negative")
-    _check_budget(p ** k)
+    _check_budget(p, k)
     els = list(itertools.product(range(p), repeat=k))
     return FiniteGroup.from_elements(
         els, lambda g, h: tuple((x + y) % p for x, y in zip(g, h)),
@@ -433,7 +439,7 @@ def heisenberg(F: Field, r: int = 1) -> FiniteGroup:
     if F.q % 2 == 0:
         raise GroupError("q must be odd")
     q = F.q
-    _check_budget(q ** (2 * r + 1))
+    _check_budget(q, 2 * r + 1)
     vecs = list(itertools.product(range(q), repeat=r))
     els = [(x, y, z) for x in vecs for y in vecs for z in range(q)]
 
@@ -456,7 +462,7 @@ def extraspecial_mp3(p: int) -> FiniteGroup:
     require_ints(GroupError, p=p)
     if not is_prime(p) or p == 2:
         raise GroupError("p must be an odd prime")
-    _check_budget(p ** 3)
+    _check_budget(p, 3)
     p2 = p * p
     els = [(a, b) for a in range(p2) for b in range(p)]
 
@@ -627,7 +633,8 @@ def central_product(G1: FiniteGroup, G2: FiniteGroup,
         np.minimum(rep_of, t1[:, z].astype(np.int64)[:, None] * v2
                    + t2[:, w].astype(np.int64), out=rep_of)
     rep_of = rep_of.reshape(-1)
-    reps = np.unique(rep_of)
+    # a coset's least key is its own representative
+    reps = np.flatnonzero(rep_of == np.arange(rep_of.size))
     idx_of_pair = np.searchsorted(reps, rep_of)
 
     # element i is the coset of the pair (a[i], b[i]); the cosets of
@@ -641,7 +648,7 @@ def central_product(G1: FiniteGroup, G2: FiniteGroup,
     embed1 = idx_of_pair[np.arange(v1) * v2]
     embed2 = idx_of_pair[:v2]
     for i, Gi, emb in ((1, G1, embed1), (2, G2, embed2)):
-        if np.unique(emb).size != emb.size:
+        if np.bincount(emb).max() > 1:
             raise GroupError(f"embed{i} is not injective")
         _check_homomorphism(Gi, G, emb, f"embed{i}")
     amalg = Subgroup(G, tuple(embed1[zs].tolist()))

@@ -121,7 +121,7 @@ def verify_linked(G: FiniteGroup, N: Subgroup | None,
         at_lo = prod == lo
         if lo == hi or np.count_nonzero(at_lo | (prod == hi)) != prod.size:
             raise ProductNotTwoValued(f"product of members {a},{b} takes "
-                                      f"values {np.unique(prod).tolist()}")
+                                      f"values {sorted(set(prod.tolist()))}")
         # the mu-level set is the family member; try both values
         for cand, mask in (((lo, hi), at_lo), ((hi, lo), ~at_lo)):
             g = lookup.get(_key(mask))

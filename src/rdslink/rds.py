@@ -406,7 +406,7 @@ def thas_somma(F: Field, r: int):
     if not is_int(r) or r < 0:
         raise RdsError(f"r = {r!r} is not a non-negative int")
     d, q = 2 * r, F.q
-    _check_budget(q ** (d + 1))
+    _check_budget(q, d + 1)
     vecs = itertools.product(F.elements(), repeat=d)
     els = [(a, alpha) for a in vecs for alpha in F.elements()]
 
@@ -424,5 +424,8 @@ def thas_somma(F: Field, r: int):
 def dev(G: FiniteGroup, X):
     """Development {Xg : g in G}, distinct blocks only."""
     X = indices(X, G.order, RdsError, "base block member")
-    blocks = np.unique(np.sort(G.table[X].T, axis=1), axis=0)
-    return list(map(tuple, blocks.tolist()))
+    rows = np.sort(G.table[X].T, axis=1)  # row g is the block Xg
+    if X.size:  # in lexicographic order, as blocks compare
+        rows = rows[np.lexsort(rows.T[::-1])]
+    repeat = (rows[1:] == rows[:-1]).all(axis=1)
+    return list(map(tuple, rows[np.r_[True, ~repeat]].tolist()))

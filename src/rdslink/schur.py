@@ -114,7 +114,7 @@ def cyclotomic(G: FiniteGroup, gens) -> SchurPartition:
 
 def affine_plane_group(F: Field) -> FiniteGroup:
     """Elementary abelian group of order n^2 realized as F_n x F_n."""
-    _check_budget(F.q ** 2)
+    _check_budget(F.q, 2)
     els = [(x, y) for x in F.elements() for y in F.elements()]
 
     def mul(a, b):

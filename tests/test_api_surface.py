@@ -268,3 +268,20 @@ def _per_element_sorts():
 
 def test_no_set_is_sorted_element_by_element():
     assert _per_element_sorts() == []
+
+
+def _unique_calls():
+    """Every np.unique or numpy.unique in src/rdslink: its first call in
+    a process imports numpy.ma, and a sort with a neighbour comparison,
+    a bincount or a set does each of its jobs here."""
+    out = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "unique" \
+                    and ast.unparse(node.value) in ("np", "numpy"):
+                out.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    return out
+
+
+def test_no_np_unique_in_the_library():
+    assert _unique_calls() == []

@@ -1,6 +1,9 @@
 import hashlib
 import itertools
 import json
+import subprocess
+import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -69,6 +72,51 @@ def test_construct_dps_bundle(tmp_path):
 def test_construct_invalid_params():
     assert run(["construct", "heisenberg", "--q", "4"]) == 1  # even q
     assert run(["construct", "extraspecial", "--p", "4"]) == 1
+
+
+@pytest.mark.parametrize("args", [
+    "construct heisenberg --q", "construct heisenberg2r --q",
+    "construct dps --n", "export graph --q", "export ctensor --q",
+    "resolve-branch --target heis2r --q"])
+@pytest.mark.parametrize("q, error", [
+    (1000000007, "FieldError: q = 1000000007 exceeds the supported range "
+                 "q <= 65536"),
+    (65537, "FieldError: q = 65537 exceeds the supported range q <= 65536"),
+    (65535, "ValueError: 65535 is not a prime power"),
+    (1, "ValueError: 1 is not a prime power"),
+    (-4, "ValueError: -4 is not a prime power")],
+    ids=["1000000007", "65537", "65535", "1", "-4"])
+def test_field_order_is_checked_before_it_is_factored(capsys, args, q, error):
+    # a divisor search from 2 up to a large prime q would not finish
+    start = time.perf_counter()
+    assert run(args.split() + [str(q)]) == 1
+    assert time.perf_counter() - start < 5
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
+def test_construct_leaves_numpy_ma_unimported(tmp_path):
+    # np.unique imports numpy.ma on its first call, about 10 ms a process
+    code = (
+        "import sys\n"
+        "from rdslink.cli import main\n"
+        f"out = {str(tmp_path / 'out')!r}\n"
+        "for args in ('construct thm12 --p 3 --r 2', 'construct q8-2r',\n"
+        "             'construct dps --n 4 --t 4', 'export dev --q 3'):\n"
+        "    assert main(args.split() + ['--out', out]) == 0, args\n"
+        "print('numpy.ma' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120,
+                         env={"PYTHONPATH": ":".join(sys.path),
+                              "OPENBLAS_NUM_THREADS": "1"})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False\n"
+
+
+def test_writer_refuses_what_json_refuses():
+    with pytest.raises(TypeError) as want:
+        json.dumps({"x": np.int64(1)})
+    with pytest.raises(TypeError, match=f"^{want.value}$"):
+        cli._dump({"x": np.int64(1)}, None)
 
 
 def test_bundles_byte_stable(tmp_path):

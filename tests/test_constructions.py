@@ -8,6 +8,7 @@ from rdslink.ff import FieldError, field_make
 from rdslink.groups import (GroupError, center, cyclic, elementary_abelian,
                             heisenberg, is_transversal)
 from rdslink.linked import LinkedError, verify_linked
+from rdslink.rds import thas_somma
 from rdslink.constructions import (ConstructionError, dps_system,
                                    extraspecial_rds, heisenberg_system,
                                    heisenberg_system_2r, q8_system,
@@ -312,6 +313,37 @@ def test_size_arguments_must_not_be_negative(build, witness):
     # the least sizes are groups: C2^0 = {e} and Heis(3, 0) = GF(3)
     assert elementary_abelian(2, 0).order == 1
     assert heisenberg(field_make(3), 0).order == 3
+
+
+@pytest.mark.parametrize("build, error, witness", [
+    (lambda: field_make(3, 10000), FieldError,
+     "p^r = 3^10000 exceeds the supported range q <= 65536"),
+    (lambda: elementary_abelian(2, 20000), GroupError,
+     "order 2^20000 needs a 2*2^40000-byte table"),
+    (lambda: heisenberg(field_make(3), 5000), GroupError,
+     "order 3^10001 needs a 2*3^20002-byte table"),
+    (lambda: thas_somma(field_make(3), 5000), GroupError,
+     "order 3^10001 needs a 2*3^20002-byte table")],
+    ids=["field-3^10000", "elementary-2^20000", "heisenberg-3^10001",
+         "thas-somma-3^10001"])
+def test_huge_sizes_are_named_as_powers(build, error, witness):
+    # an order past Python's int-to-str digit limit is never printed
+    with pytest.raises(error, match=f"^{re.escape(witness)}"):
+        build()
+
+
+@pytest.mark.parametrize("build, order", [
+    (lambda: q8_system_2r(9), 131072),  # the r = 7 step is 2 GiB
+    (lambda: theorem_1_2_rds(5, 3), 78125)],
+    ids=["q8-2r-r9", "thm12-p5-r3"])
+def test_iterated_product_refuses_before_any_step(monkeypatch, build, order):
+    calls = []
+    monkeypatch.setattr(constructions, "central_product",
+                        lambda *args, **kw: calls.append(args))
+    with pytest.raises(GroupError, match=f"^order {order} needs a "
+                                         f"{2 * order * order:,}-byte table"):
+        build()
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
