@@ -7,7 +7,7 @@ from .groups import (Automorphism, FiniteGroup, GroupError, Subgroup,
                      center, central_product, cyclic, direct_product,
                      elementary_abelian, extraspecial_mp3, heisenberg,
                      orbits, quaternion8)
-from .groupring import GroupRingElement, GroupRingError
+from .groupring import Basis, BasisError, GroupRingElement, GroupRingError
 from .schur import SchurPartition, SRingError, amorphic_latin, cyclotomic, \
     verify_sring
 from .rds import (IntersectionArray, PdsCertificate, RdsCertificate,
@@ -28,7 +28,7 @@ __all__ = [
     "Automorphism", "FiniteGroup", "GroupError", "Subgroup", "center",
     "central_product", "cyclic", "direct_product", "elementary_abelian",
     "extraspecial_mp3", "heisenberg", "orbits", "quaternion8",
-    "GroupRingElement", "GroupRingError",
+    "Basis", "BasisError", "GroupRingElement", "GroupRingError",
     "SchurPartition", "SRingError", "amorphic_latin", "cyclotomic",
     "verify_sring",
     "IntersectionArray", "PdsCertificate", "RdsCertificate", "RdsError",

@@ -554,7 +554,7 @@ def cmd_export(args):
             P = hs.partition
         chunks = _json_text({"classes": [list(c) for c in P.classes],
                              "class_sizes": P.class_sizes(),
-                             "tensor": verify_sring(P).tolist()})
+                             "tensor": P.basis.tensor.tolist()})
     else:  # pragma: no cover
         raise ValueError(f"unknown export {args.what}")
     _write(args.out, chunks)

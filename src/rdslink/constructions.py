@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ff import (Field, field_make, least_nonsquare, is_int, is_prime,
-                 require_ints)
+                 named, require_ints)
 from .groups import (FiniteGroup, Subgroup, Automorphism, _check_budget,
                      automorphism_from_images, center, central_product,
                      elementary_abelian, extraspecial_mp3, heisenberg,
@@ -121,8 +121,10 @@ def heisenberg_system(F: Field, eps: int | None = None) -> HeisenbergSystem:
         raise ConstructionError("orbit representatives collide")
     sets = {i: tuple(sorted(orbit_sets[i] + (0,))) for i in F.elements()}
 
+    # each member and Z are unions of the S-ring's classes: every
+    # product is taken in its certified basis
     fam = [sets[i] for i in F.elements()]
-    cert = verify_linked(G, Z, fam)
+    cert = verify_linked(G, Z, fam, P.basis)
 
     # delta = (16 eps)^(-1): completing the square in the Pell equation
     # behind the psi count produces the constant term 1/(16 eps), a
@@ -218,6 +220,7 @@ def extraspecial_rds(p: int) -> ExtraspecialSystem:
     orbit partition, the 2p difference-set certificates and p partial
     difference sets, and the automorphisms moving X_0 to X_i."""
     require_ints(ConstructionError, p=p)
+    _check_budget(p, 3)  # before is_prime's trial division
     if not is_prime(p) or p == 2:
         raise ConstructionError("p must be an odd prime")
     G = extraspecial_mp3(p)
@@ -368,10 +371,12 @@ def dps_system(F: Field, t: int, s: int | None = None,
     require_ints(ConstructionError, t=t, s=s)
     n = F.q
     if t < 2 or n % t:
-        raise ConstructionError(f"t = {t} must divide n = {n} and be >= 2")
+        raise ConstructionError(
+            f"t = {named(t)} must divide n = {n} and be >= 2")
     p = F.p
     if s < 2 or t % s:
-        raise ConstructionError(f"s = {s} must be a power of {p} dividing t")
+        raise ConstructionError(
+            f"s = {named(s)} must be a power of {p} dividing t")
     # t | n = p^r and s | t, so both are powers of p
     j = next(e for e in range(F.r + 1) if p ** e == t)
     i = next(e for e in range(j + 1) if p ** e == s)
@@ -379,7 +384,7 @@ def dps_system(F: Field, t: int, s: int | None = None,
         raise ConstructionError("a single set is not a linked system")
 
     H = elementary_abelian(p, j)
-    plane, sets = amorphic_latin(F, t, labeling)
+    plane, sets, P = amorphic_latin(F, t, labeling)
     ambient = direct_product(H, plane)
     vg = plane.order
     # S multiplies H = GF(p^j) by the span of 1, tau, ..., tau^(i-1), tau
@@ -404,8 +409,10 @@ def dps_system(F: Field, t: int, s: int | None = None,
             raise ConstructionError("|Y_f| != n^2")
         fams.append(tuple(members.tolist()))
 
+    # Y_f and N = H x {e} are unions of the classes {h} x C of
+    # Z[H] x A, A the amorphic S-ring: every product is taken in it
     N = Subgroup(ambient, tuple(h_idx * vg for h_idx in range(t)))
-    cert = verify_linked(ambient, N, fams)
+    cert = verify_linked(ambient, N, fams, P.basis.over(H, ambient))
     expect = (n * n, t, n * n, n * n // t, s - 1,
               n + (n - 1) * n // t, (n - 1) * n // t)
     if cert.parameters != expect:
@@ -437,6 +444,7 @@ def theorem_1_2_rds(p: int, r: int):
     dimension-3 Heisenberg factors (each carrying X_0); returns
     (group, set, certificate)."""
     require_ints(ConstructionError, p=p, r=r)
+    _check_budget(p, 3)  # M_{p^3} at least, before is_prime
     if not is_prime(p) or p == 2:
         raise ConstructionError("p must be an odd prime")
     if r < 1:

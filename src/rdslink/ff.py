@@ -85,6 +85,15 @@ def indices(items, n: int, error, what: str,
     return arr
 
 
+def named(n: int) -> str:
+    """An integer as messages name it: its digits below 2^64, past that
+    its bit length, since Python will not print an int of more than
+    4300 digits."""
+    if abs(n) < 1 << 64:
+        return str(n)
+    return f"{'-' if n < 0 else ''}<{n.bit_length()}-bit integer>"
+
+
 def _where(pos: int, shape: tuple) -> str:
     """Row-major position pos in an array of shape, as messages name it."""
     if len(shape) == 1:
@@ -173,10 +182,10 @@ class Field:
         # p >= 2 gives p^r >= 2^r, so r > 16 is out of range at any p:
         # decided before the power, whose digits may be too many to print
         if p > 1 and r > 0 and (r > 16 or p ** r > Q_MAX):
-            raise FieldError(f"p^r = {p}^{r} exceeds the supported range "
-                             f"q <= {Q_MAX}")
+            raise FieldError(f"p^r = {named(p)}^{named(r)} exceeds the "
+                             f"supported range q <= {Q_MAX}")
         if not is_prime(p):
-            raise FieldError(f"{p} is not prime")
+            raise FieldError(f"{named(p)} is not prime")
         if r < 1:
             raise FieldError("degree must be positive")
         q = p ** r

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ff import Field, indices, integers, is_prime, require_ints
+from .ff import Field, indices, integers, is_prime, named, require_ints
 
 # the largest table a constructor will build: 2 bytes an entry, so
 # v <= 32,768, and every entry v - 1 fits in uint16
@@ -38,11 +38,17 @@ class GroupError(ValueError):
 def _check_budget(base: int, exp: int = 1):
     """Raise GroupError, before any v x v allocation, when a table of
     order v = base^exp would exceed TABLE_BYTES.  Past 2^64, far over
-    the budget, v is named as the power and never formed: its digits
-    may be too many to print."""
-    if exp > 1 and exp * (base.bit_length() - 1) > 64:
-        raise GroupError(f"order {base}^{exp} needs a 2*{base}^{2 * exp}"
-                         f"-byte table, over the {TABLE_BYTES:,}-byte budget")
+    the budget, v is named as the power and never formed, and a base or
+    exponent past 2^64 by its bit length: their digits may be too many
+    to print."""
+    if exp * (base.bit_length() - 1) > 64:
+        if exp == 1:
+            raise GroupError(f"order {named(base)} needs a "
+                             f"2*{named(base)}^2-byte table, over the "
+                             f"{TABLE_BYTES:,}-byte budget")
+        raise GroupError(f"order {named(base)}^{named(exp)} needs a "
+                         f"2*{named(base)}^{named(2 * exp)}-byte table, "
+                         f"over the {TABLE_BYTES:,}-byte budget")
     v = base ** exp
     if 2 * v * v > TABLE_BYTES:
         raise GroupError(f"order {v} needs a {2 * v * v:,}-byte table, "
@@ -392,10 +398,17 @@ def cyclic(n: int) -> FiniteGroup:
 
 def elementary_abelian(p: int, k: int) -> FiniteGroup:
     require_ints(GroupError, p=p, k=k)
+    # C_p^0 fits at any p, but is_prime's trial division would not end
+    # at p = 2^61 - 1: p past the largest order a table may have is
+    # refused first
+    if 2 * p * p > TABLE_BYTES:
+        raise GroupError(f"p = {named(p)} exceeds "
+                         f"{math.isqrt(TABLE_BYTES // 2):,}, the largest "
+                         f"order the {TABLE_BYTES:,}-byte budget admits")
     if not is_prime(p):
         raise GroupError(f"{p} is not prime")
     if k < 0:
-        raise GroupError(f"k = {k} is negative")
+        raise GroupError(f"k = {named(k)} is negative")
     _check_budget(p, k)
     els = list(itertools.product(range(p), repeat=k))
     return FiniteGroup.from_elements(
@@ -435,7 +448,7 @@ def heisenberg(F: Field, r: int = 1) -> FiniteGroup:
     """
     require_ints(GroupError, r=r)
     if r < 0:
-        raise GroupError(f"r = {r} is negative")
+        raise GroupError(f"r = {named(r)} is negative")
     if F.q % 2 == 0:
         raise GroupError("q must be odd")
     q = F.q
@@ -460,9 +473,9 @@ def extraspecial_mp3(p: int) -> FiniteGroup:
     (a,b)(c,d) = (a + c + p*b*c mod p^2, b + d mod p).
     """
     require_ints(GroupError, p=p)
+    _check_budget(p, 3)  # before is_prime's trial division
     if not is_prime(p) or p == 2:
         raise GroupError("p must be an odd prime")
-    _check_budget(p, 3)
     p2 = p * p
     els = [(a, b) for a in range(p2) for b in range(p)]
 

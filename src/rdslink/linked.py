@@ -13,7 +13,7 @@ import numpy as np
 
 from .ff import indices, is_prime
 from .groups import CentralProduct, FiniteGroup, Subgroup, Automorphism
-from .groupring import GroupRingElement
+from .groupring import Basis, GroupRingElement
 from .rds import product_sets, verify_rds
 
 
@@ -70,8 +70,8 @@ class LinkedCertificate:
                 "branch_note": self.branch_note}
 
 
-def verify_linked(G: FiniteGroup, N: Subgroup | None,
-                  family) -> LinkedCertificate:
+def verify_linked(G: FiniteGroup, N: Subgroup | None, family,
+                  basis: Basis | None = None) -> LinkedCertificate:
     """Verify a closed linked system and extract everything from the data.
 
     Without N, N is the forbidden subgroup the first member's certificate
@@ -80,9 +80,11 @@ def verify_linked(G: FiniteGroup, N: Subgroup | None,
     for every non-inverse pair the product must take exactly two
     coefficient values, the indicator of one level set being a member's;
     (mu, nu) are read off and cross-checked against the closed formulas
-    (one sign branch must match).
+    (one sign branch must match).  With a certified basis of G every
+    product is taken in it (see verify_rds), and every member must be a
+    union of its classes.
     """
-    ind = [GroupRingElement.indicator(G, X) for X in family]
+    ind = [GroupRingElement.indicator(G, X, basis) for X in family]
     sets = [x.support() for x in ind]
     s = len(sets)
     if s < 2:
@@ -91,9 +93,9 @@ def verify_linked(G: FiniteGroup, N: Subgroup | None,
     lookup = {_key(x.vec): i for i, x in enumerate(ind)}
     if len(lookup) != s:
         raise LinkedError("family members must be pairwise distinct")
-    certs = [verify_rds(G, sets[0], N)]
+    certs = [verify_rds(G, sets[0], N, basis)]
     N = certs[0].N
-    certs += [verify_rds(G, X, N) for X in sets[1:]]
+    certs += [verify_rds(G, X, N, basis) for X in sets[1:]]
     params = {c.parameters for c in certs}
     if len(params) != 1:
         raise LinkedError(f"members have different parameters: {params}")

@@ -14,7 +14,7 @@ import numpy as np
 from .ff import Field, indices, is_int
 from .groups import (CentralProduct, FiniteGroup, GroupError, Subgroup,
                      _check_budget, is_transversal)
-from .groupring import GroupRingElement, class_values
+from .groupring import Basis, GroupRingElement, class_values
 
 
 class RdsError(ValueError):
@@ -129,13 +129,17 @@ class IntersectionArray:
 # RDS / PDS verification
 
 
-def verify_rds(G: FiniteGroup, X, N: Subgroup | None = None) -> RdsCertificate:
+def verify_rds(G: FiniteGroup, X, N: Subgroup | None = None,
+               basis: Basis | None = None) -> RdsCertificate:
     """Check X.X^(-1) = k e + lambda (G - N) exactly and certify.
 
     Without N, N is the one forbidden subgroup X allows: lambda > 0, so
     X.X^(-1) vanishes exactly on N^#, and N is e plus its zero set;
-    RdsError when that set is not a subgroup."""
-    x = GroupRingElement.indicator(G, X)
+    RdsError when that set is not a subgroup.  With a certified basis
+    of G (see groupring.Basis) the products are taken in it, and X must
+    be a union of its classes (BasisError otherwise); N then is one
+    too, as e plus a level set of X.X^(-1) once the equation holds."""
+    x = GroupRingElement.indicator(G, X, basis)
     X = x.support()
     k = len(X)
     if N is not None and not (isinstance(N, Subgroup) and N.group is G):
@@ -179,17 +183,19 @@ def verify_rds(G: FiniteGroup, X, N: Subgroup | None = None) -> RdsCertificate:
     if semiregular and not is_transversal(G, N, X):
         raise LemmaViolation("k = m but X is not a right transversal")
     reversible = (xi == x)
-    icom = is_icommuting(x, xx, N)
+    icom = is_icommuting(x, xx, N, xi)
     return RdsCertificate(G, X, N, m, n, k, lam, semiregular, reversible,
                           icom)
 
 
 def is_icommuting(x: GroupRingElement, xx: GroupRingElement,
-                  N: Subgroup) -> bool:
-    """Dual-checked for the indicator x of X and xx = X.X^(-1):
-    X.X^(-1) = X^(-1).X must agree with X.N_ = N_.X."""
-    nn = GroupRingElement.indicator(x.group, N.members)
-    by_product = (xx == x.involution() * x)
+                  N: Subgroup, xi: GroupRingElement) -> bool:
+    """Dual-checked for the indicator x of X, xx = X.X^(-1) and
+    xi = X^(-1): X.X^(-1) = X^(-1).X must agree with X.N_ = N_.X.  For
+    a reversible X, X^(-1).X is xx itself, and is not computed.
+    Products are taken in x's basis, if it carries one."""
+    nn = GroupRingElement.indicator(x.group, N.members, x.basis)
+    by_product = (xi == x or xx == xi * x)
     by_subgroup = (x * nn == nn * x)
     if by_product != by_subgroup:
         raise LemmaViolation(

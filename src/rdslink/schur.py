@@ -10,7 +10,7 @@ import numpy as np
 
 from .ff import Field, indices, require_ints
 from .groups import FiniteGroup, Automorphism, _check_budget, orbits
-from .groupring import GroupRingElement, class_values
+from .groupring import Basis, GroupRingElement, class_values
 
 
 class SRingError(ValueError):
@@ -19,7 +19,9 @@ class SRingError(ValueError):
 
 class SchurPartition:
     """A partition of G into basic sets with {e} a class and classes
-    closed under inversion, class i onto class star[i]."""
+    closed under inversion, class i onto class star[i].  basis is None
+    until a construction here certifies the partition as an S-ring: it
+    then holds the tensor verify_sring returned, as a product basis."""
 
     def __init__(self, group: FiniteGroup, classes):
         v = group.order
@@ -54,6 +56,7 @@ class SchurPartition:
         self.classes = classes
         self.class_of = class_of
         self.star = star.tolist()
+        self.basis = None
 
     @property
     def rank(self):
@@ -99,12 +102,14 @@ def verify_sring(P: SchurPartition) -> np.ndarray:
 
 
 def cyclotomic(G: FiniteGroup, gens) -> SchurPartition:
-    """Orbit partition of <gens> <= Aut(G); always an S-ring (asserted)."""
+    """Orbit partition of <gens> <= Aut(G); always an S-ring (asserted,
+    and its tensor kept as P.basis)."""
     for a in gens:
         if not isinstance(a, Automorphism):
             raise SRingError("generators must be verified automorphisms")
     P = SchurPartition(G, orbits(G, gens))
-    verify_sring(P)  # Schur's theorem; must never fail
+    # Schur's theorem: verify_sring must never fail
+    P.basis = Basis(G, P.class_of, verify_sring(P))
     return P
 
 
@@ -150,10 +155,11 @@ def default_labeling(n: int, t: int):
 def amorphic_latin(F: Field, t: int, labeling=None):
     """Rank t+1 Latin-square amorphic partition over F_n x F_n.
 
-    Returns (G, sets) where sets[h] for h = 0..t-1 (0 playing the role
-    of the identity label) unions the lines of cell P_h.  The partition
-    is re-verified as an S-ring, and its structure constants against
-    the two-case product relation, before it is returned.
+    Returns (G, sets, P) where sets[h] for h = 0..t-1 (0 playing the
+    role of the identity label) unions the lines of cell P_h, and P is
+    the partition {e}, sets[0], ..., sets[t-1].  P is re-verified as an
+    S-ring, and its structure constants against the two-case product
+    relation, before it is returned with them as P.basis.
     """
     require_ints(SRingError, t=t)
     n = F.q
@@ -186,7 +192,8 @@ def amorphic_latin(F: Field, t: int, labeling=None):
     #   X_h * X_h  = k_h(n-1) e + (n - 2 k_h) X_h + k_h(k_h - 1) G^#
     #   X_h * X_h' = k_h k_h' G^# - k_h' X_h - k_h X_h'   (h != h')
     P = SchurPartition(G, [(0,)] + [sets[h] for h in range(t)])
-    c = verify_sring(P)[1:, 1:]
+    tensor = verify_sring(P)
+    c = tensor[1:, 1:]
     k = [len(cell) for cell in labeling]
     for h, h2 in itertools.product(range(t), repeat=2):
         if h == h2:
@@ -198,4 +205,5 @@ def amorphic_latin(F: Field, t: int, labeling=None):
             want[h2 + 1] -= k[h]
         if c[h, h2].tolist() != want:
             raise SRingError(f"amorph relation fails at pair {(h, h2)}")
-    return G, sets
+    P.basis = Basis(G, P.class_of, tensor)
+    return G, sets, P

@@ -226,7 +226,8 @@ def test_criterion_10_property_suites(heis_all, es_all, q8cert, dps3):
         assert c.k * (c.k - 1) == c.lam * c.n * (c.m - 1)
         # dual i-commuting criteria agree (raises LemmaViolation if not)
         x = GroupRingElement.indicator(c.group, c.X)
-        is_icommuting(x, x * x.involution(), c.N)
+        xi = x.involution()
+        is_icommuting(x, x * xi, c.N, xi)
     print(f"PASS criterion 10: 300 random ring-law triples, "
           f"{5} S-ring audits, parameter identity and dual i-commuting "
           f"agreement on {len(certs)} certificates, zero failures")

@@ -1,4 +1,6 @@
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -330,6 +332,47 @@ def test_huge_sizes_are_named_as_powers(build, error, witness):
     # an order past Python's int-to-str digit limit is never printed
     with pytest.raises(error, match=f"^{re.escape(witness)}"):
         build()
+
+
+M61 = 2 ** 61 - 1  # prime: trial division to its square root never ends
+HUGE = "<16610-bit integer>"  # 10**5000, past Python's int-to-str limit
+
+
+@pytest.mark.parametrize("call, error, message", [
+    ("groups.extraspecial_mp3(M61)", "GroupError",
+     f"order {M61}^3 needs a 2*{M61}^6-byte table"),
+    ("groups.elementary_abelian(M61, 0)", "GroupError",
+     f"p = {M61} exceeds 32,768, the largest order"),
+    ("constructions.extraspecial_rds(M61)", "GroupError",
+     f"order {M61}^3 needs a 2*{M61}^6-byte table"),
+    ("constructions.theorem_1_2_rds(M61, 2)", "GroupError",
+     f"order {M61}^3 needs a 2*{M61}^6-byte table"),
+    ("groups.cyclic(10 ** 5000)", "GroupError",
+     f"order {HUGE} needs a 2*{HUGE}^2-byte table"),
+    ("groups.elementary_abelian(3, 10 ** 5000)", "GroupError",
+     f"order 3^{HUGE} needs a 2*3^<16611-bit integer>-byte table"),
+    ("constructions.dps_system(ff.field_make(2, 2), 10 ** 5000)",
+     "ConstructionError", f"t = {HUGE} must divide n = 4 and be >= 2"),
+    ("ff.field_make(10 ** 5000)", "FieldError",
+     f"p^r = {HUGE}^1 exceeds the supported range q <= 65536")],
+    ids=["extraspecial_mp3-M61", "elementary_abelian-M61-0",
+         "extraspecial_rds-M61", "thm12-M61-r2", "cyclic-10^5000",
+         "elementary_abelian-3-10^5000", "dps-t-10^5000",
+         "field_make-10^5000"])
+def test_huge_arguments_are_refused_at_once(call, error, message):
+    # each in a child, so that a hang is a timeout and not a stuck run
+    code = ("from rdslink import constructions, ff, groups\n"
+            f"M61 = {M61}\n"
+            "try:\n"
+            f"    {call}\n"
+            "except Exception as exc:\n"
+            "    print(f'{type(exc).__name__}: {exc}')\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=60,
+                         env={"PYTHONPATH": ":".join(sys.path),
+                              "OPENBLAS_NUM_THREADS": "1"})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith(f"{error}: {message}"), out.stdout
 
 
 @pytest.mark.parametrize("build, order", [

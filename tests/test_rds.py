@@ -126,7 +126,8 @@ def test_icommuting_dual_criteria_abelian():
     G = cyclic(6)
     N = Subgroup(G, (0, 3))
     x = GroupRingElement.indicator(G, (0, 1))
-    assert is_icommuting(x, x * x.involution(), N)
+    xi = x.involution()
+    assert is_icommuting(x, x * xi, N, xi)
 
 
 def test_verify_pds_paley():

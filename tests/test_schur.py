@@ -124,12 +124,15 @@ def test_default_labeling():
 
 def test_amorphic_latin_sizes_and_relations():
     F = field_make(2, 2)
-    G, sets = amorphic_latin(F, 2)
+    G, sets, P = amorphic_latin(F, 2)
     assert len(sets[0]) == 3 * 3  # (n/t + 1)(n - 1)
     assert len(sets[1]) == 2 * 3
     # k = (3, 2): X_0^2 = 9e + 4X_0 + 6X_1, X_0 X_1 = 4X_0 + 3X_1 and
     # X_1^2 = 6e + 2X_0 + 2X_1, by the two-case relation
     tensor = verify_sring(_amorphic_partition(G, sets))
+    # the partition returned is that one, and keeps the tensor
+    assert P.classes == _amorphic_partition(G, sets).classes
+    assert np.array_equal(P.basis.tensor, tensor)
     assert tensor[1:, 1:].tolist() == [[[9, 4, 6], [0, 4, 3]],
                                        [[0, 4, 3], [6, 2, 2]]]
 
@@ -149,13 +152,13 @@ def test_amorphic_latin_rejects_a_tensor_off_the_relation(monkeypatch):
 
 def test_amorphic_latin_trivial_fusion():
     F = field_make(3)
-    G, sets = amorphic_latin(F, 1)
+    G, sets, _ = amorphic_latin(F, 1)
     assert sets[0] == tuple(range(1, 9))
 
 
 def test_perturbed_labeling_rejected():
     F = field_make(2, 2)
-    G, sets = amorphic_latin(F, 2)
+    G, sets, _ = amorphic_latin(F, 2)
     # move one element between cells: no S-ring, so no relation holds
     bad = {0: tuple(sorted(set(sets[0]) - {sets[0][0]} | {sets[1][0]})),
            1: tuple(sorted(set(sets[1]) - {sets[1][0]} | {sets[0][0]}))}
@@ -202,7 +205,7 @@ def test_verify_sring_agrees_with_all_pairs(request, name):
     if name.startswith("GF"):
         F, t = {"GF(9) t=3": (field_make(3, 2), 3),
                 "GF(8) t=4": (field_make(2, 3), 4)}[name]
-        P = _amorphic_partition(*amorphic_latin(F, t))
+        P = amorphic_latin(F, t)[2]
     elif name.startswith("dps"):
         ds = request.getfixturevalue(name)
         P = _amorphic_partition(ds.plane, ds.amorphic_sets)
